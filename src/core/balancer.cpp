@@ -118,8 +118,7 @@ void Balancer::resolve_stale(Epoch now, EpochSnapshot& snap,
     Epoch since;
   };
   std::vector<Stale> stale;
-  store_.table().for_each([&](const ObjectMeta& m) {
-    if (!meta::is_intermediate(m.state)) return;
+  store_.table().for_each_pending([&](const ObjectMeta& m) {
     if (m.state_since > cutoff) return;
     if (m.last_write_epoch >= m.state_since) return;  // a write will resolve it
     stale.push_back({m.oid, m.state, m.dst, m.state_since});
@@ -127,7 +126,8 @@ void Balancer::resolve_stale(Epoch now, EpochSnapshot& snap,
 
   // Eager materialization is real data movement: rate-limit it, oldest
   // transitions first. (Cancellations are metadata-only and always allowed,
-  // so the cap is only consumed by the materializing branches below.)
+  // so the cap is only consumed by the materializing branches below.) The
+  // sort is a total order, so the pending set's visit order does not matter.
   std::sort(stale.begin(), stale.end(), [](const Stale& a, const Stale& b) {
     return a.since < b.since || (a.since == b.since && a.oid < b.oid);
   });
@@ -251,11 +251,7 @@ void Balancer::on_epoch(Epoch now, const std::set<ServerId>& excluded) {
   const auto wear = monitor_.collect(now);
   estimator_.update(wear);
 
-  // 2. Fold every object's heat recurrence to this epoch (Eq 1).
-  store_.table().for_each_mutable(
-      [now](ObjectMeta& m) { m.fold_heat(now); });
-
-  // 2b. Host-managed background GC: idle servers pre-clean their free pools
+  // 2. Host-managed background GC: idle servers pre-clean their free pools
   // (open-channel capability, §III-A) so future bursts stall less.
   if (opts_.background_gc_free_target > 0.0) {
     double mean_pages = 0.0;

@@ -1,8 +1,9 @@
 // The wear balancer (paper §III-A): runs on the coordinator, gathers
-// monitor heartbeats each epoch, folds object heats (Eq 1), resolves stale
-// lazy transitions, compacts epoch logs, and fires ARPT / HCDS when the
-// wear variance crosses their thresholds. Also records the per-epoch
-// telemetry that reproduces Fig 8.
+// monitor heartbeats each epoch, resolves stale lazy transitions, compacts
+// epoch logs, and fires ARPT / HCDS when the wear variance crosses their
+// thresholds. Also records the per-epoch telemetry that reproduces Fig 8.
+// Object heats (Eq 1) are not folded here: every reader evaluates the
+// closed form at its own epoch (ObjectMeta::heat).
 #pragma once
 
 #include <cstdint>

@@ -131,7 +131,7 @@ HcdsReport Hcds::run(Epoch now, const std::vector<ServerWearInfo>& wear,
                             : opts_.sigma_hcds_cv * mean_of(est);
   const std::size_t ec_k = store_.config().ec_data;
 
-  CandidateIndex index(store_.table(), store_.cluster().size(), now);
+  index_.rebuild(store_.table(), store_.cluster().size(), now);
   double sigma = report.sigma_before;
   std::size_t swap_cap = ChameleonOptions::effective_cap(
       opts_.max_hcds_swaps, opts_.hcds_swap_fraction,
@@ -156,7 +156,7 @@ HcdsReport Hcds::run(Epoch now, const std::vector<ServerWearInfo>& wear,
     const ServerId x = *x_pick;
     const ServerId y = *y_pick;
 
-    const Candidate* hot = index.take_hottest(x, y, store_.table());
+    const Candidate* hot = index_.take_hottest(x, y, store_.table());
     bool progressed = false;
     if (hot != nullptr && schedule_move(*hot, x, y, now, report)) {
       est[x] -= estimator.object_cost(x, hot->heat, hot->size_bytes,
@@ -166,7 +166,7 @@ HcdsReport Hcds::run(Epoch now, const std::vector<ServerWearInfo>& wear,
       progressed = true;
     }
 
-    const Candidate* cold = index.take_coldest(y, x, store_.table());
+    const Candidate* cold = index_.take_coldest(y, x, store_.table());
     if (cold != nullptr && schedule_move(*cold, y, x, now, report)) {
       est[y] -= estimator.object_cost(y, cold->heat, cold->size_bytes,
                                       cold->state, ec_k);

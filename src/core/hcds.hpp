@@ -48,6 +48,7 @@ class Hcds {
 
   kv::KvStore& store_;
   const ChameleonOptions& opts_;
+  CandidateIndex index_;  ///< rebuilt every run; keeps its storage
 };
 
 }  // namespace chameleon::core

@@ -18,6 +18,7 @@ Ftl::Ftl(const SsdConfig& config) : config_(config) {
   for (BlockId b = 0; b < config_.block_count; ++b) {
     free_blocks_.emplace(0, b);
   }
+  erases_.blocks_at_min = config_.block_count;
 }
 
 // ---------------------------------------------------------------------------
@@ -106,6 +107,10 @@ void Ftl::retire_frontier_block(BlockId b) {
   Block& blk = blocks_[b];
   blk.state = BlockState::kFull;
   bucket_insert(b);
+  if (coldest_known_ &&
+      (coldest_full_ == kInvalidBlock || colder(b, coldest_full_))) {
+    coldest_full_ = b;
+  }
 }
 
 Nanos Ftl::program_page(Lpn lpn, Frontier frontier) {
@@ -192,6 +197,7 @@ Nanos Ftl::relocate_and_erase(BlockId victim, Frontier dest) {
   Block& blk = blocks_[victim];
   bucket_remove(victim);
   blk.state = BlockState::kOpen;  // transiently; not eligible as victim
+  if (victim == coldest_full_) coldest_known_ = false;
 
   Nanos latency = 0;
   const Ppn first = block_first_ppn(victim);
@@ -223,7 +229,11 @@ Nanos Ftl::relocate_and_erase(BlockId victim, Frontier dest) {
   }
 
   latency += config_.erase_latency;
-  ++blk.erase_count;
+  const std::uint32_t erases_before = blk.erase_count++;
+  erases_.max = std::max(erases_.max, blk.erase_count);
+  if (erases_before == erases_.min && --erases_.blocks_at_min == 0) {
+    erases_ = scan_erase_extremes();  // the last block at the minimum moved
+  }
   ++stats_.block_erases;
   blk.write_ptr = 0;
   blk.valid_count = 0;
@@ -276,26 +286,50 @@ Nanos Ftl::gc_once() {
   return relocate_and_erase(victim, Frontier::kGc);
 }
 
-Nanos Ftl::maybe_static_wl() {
-  if (config_.static_wl_delta == 0) return 0;
-  const std::uint32_t lo = min_block_erase();
-  const std::uint32_t hi = max_block_erase();
-  if (hi - lo < config_.static_wl_delta) return 0;
+bool Ftl::colder(BlockId a, BlockId b) const {
+  const Block& x = blocks_[a];
+  const Block& y = blocks_[b];
+  if (x.erase_count != y.erase_count) return x.erase_count < y.erase_count;
+  if (x.alloc_seq != y.alloc_seq) return x.alloc_seq < y.alloc_seq;
+  return a < b;
+}
 
-  // Find the coldest full block: fewest erases, oldest data as tie-break.
+BlockId Ftl::scan_coldest_full() const {
   BlockId coldest = kInvalidBlock;
   for (BlockId b = 0; b < config_.block_count; ++b) {
-    const Block& blk = blocks_[b];
-    if (blk.state != BlockState::kFull) continue;
-    if (coldest == kInvalidBlock ||
-        blk.erase_count < blocks_[coldest].erase_count ||
-        (blk.erase_count == blocks_[coldest].erase_count &&
-         blk.alloc_seq < blocks_[coldest].alloc_seq)) {
+    if (blocks_[b].state == BlockState::kFull &&
+        (coldest == kInvalidBlock || colder(b, coldest))) {
       coldest = b;
     }
   }
+  return coldest;
+}
+
+Ftl::EraseExtremes Ftl::scan_erase_extremes() const {
+  EraseExtremes e{blocks_[0].erase_count, blocks_[0].erase_count, 0};
+  for (const Block& b : blocks_) {
+    if (b.erase_count < e.min) {
+      e.min = b.erase_count;
+      e.blocks_at_min = 0;
+    }
+    if (b.erase_count == e.min) ++e.blocks_at_min;
+    e.max = std::max(e.max, b.erase_count);
+  }
+  return e;
+}
+
+Nanos Ftl::maybe_static_wl() {
+  if (config_.static_wl_delta == 0) return 0;
+  if (erases_.max - erases_.min < config_.static_wl_delta) return 0;
+
+  // The coldest full block: fewest erases, oldest data as tie-break.
+  if (!coldest_known_) {
+    coldest_full_ = scan_coldest_full();
+    coldest_known_ = true;
+  }
+  const BlockId coldest = coldest_full_;
   if (coldest == kInvalidBlock ||
-      blocks_[coldest].erase_count > lo + config_.static_wl_delta / 4) {
+      blocks_[coldest].erase_count > erases_.min + config_.static_wl_delta / 4) {
     return 0;  // the cold data is not on a low-wear block; nothing to gain
   }
   // Move the cold data onto the most-worn free block (kWl frontier) so the
@@ -424,18 +458,6 @@ bool Ftl::is_mapped(Lpn lpn) const {
   return lpn < l2p_.size() && l2p_[lpn] != kInvalidPpn;
 }
 
-std::uint32_t Ftl::min_block_erase() const {
-  std::uint32_t lo = blocks_[0].erase_count;
-  for (const Block& b : blocks_) lo = std::min(lo, b.erase_count);
-  return lo;
-}
-
-std::uint32_t Ftl::max_block_erase() const {
-  std::uint32_t hi = blocks_[0].erase_count;
-  for (const Block& b : blocks_) hi = std::max(hi, b.erase_count);
-  return hi;
-}
-
 // ---------------------------------------------------------------------------
 // Durability: bit-level device state (de)serialization.
 
@@ -552,6 +574,8 @@ void Ftl::restore(BinaryReader& in) {
   retired_blocks_ = in.u32();
   in_gc_ = false;
   faults_armed_ = false;
+  erases_ = scan_erase_extremes();
+  coldest_known_ = false;
 }
 
 void Ftl::check_invariants() const {
@@ -588,6 +612,15 @@ void Ftl::check_invariants() const {
     if (l2p_[l] != kInvalidPpn && p2l_[l2p_[l]] != l) {
       throw std::logic_error("Ftl invariant: dangling l2p entry");
     }
+  }
+  // The static-WL cache must equal a full scan.
+  const EraseExtremes e = scan_erase_extremes();
+  if (e.min != erases_.min || e.max != erases_.max ||
+      e.blocks_at_min != erases_.blocks_at_min) {
+    throw std::logic_error("Ftl invariant: cached erase extremes mismatch");
+  }
+  if (coldest_known_ && scan_coldest_full() != coldest_full_) {
+    throw std::logic_error("Ftl invariant: cached coldest block mismatch");
   }
 }
 

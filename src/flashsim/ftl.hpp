@@ -3,6 +3,11 @@
 // least-worn free blocks) and static wear leveling (cold blocks are recycled
 // into the most-worn free blocks once the in-device erase spread grows).
 //
+// The static-WL check runs after every host write and is O(1): the minimum
+// and maximum block erase counts, the number of blocks at the minimum and
+// the coldest full block are kept up to date by the erase and block-fill
+// paths, instead of being rescanned over every block on each write.
+//
 // This is the FlashSim-equivalent substrate: every Chameleon wear number
 // (erase counts, write amplification, GC-inflated write latency) is produced
 // by this layer.
@@ -119,8 +124,8 @@ class Ftl {
   std::uint32_t block_erase_count(BlockId b) const {
     return blocks_[b].erase_count;
   }
-  std::uint32_t min_block_erase() const;
-  std::uint32_t max_block_erase() const;
+  std::uint32_t min_block_erase() const { return erases_.min; }
+  std::uint32_t max_block_erase() const { return erases_.max; }
 
   /// Blocks retired after reaching max_pe_cycles (0 when wear-out disabled).
   std::uint32_t retired_blocks() const { return retired_blocks_; }
@@ -192,6 +197,18 @@ class Ftl {
   BlockId choose_victim_cost_benefit() const;
   Nanos maybe_static_wl();
 
+  /// Static-WL order: fewer erases first, then older data, then block id.
+  bool colder(BlockId a, BlockId b) const;
+
+  // Full scans behind the static-WL cache (and check_invariants()).
+  struct EraseExtremes {
+    std::uint32_t min = 0;
+    std::uint32_t max = 0;
+    std::uint32_t blocks_at_min = 0;
+  };
+  EraseExtremes scan_erase_extremes() const;
+  BlockId scan_coldest_full() const;
+
   void bucket_insert(BlockId b);
   void bucket_remove(BlockId b);
   void bucket_move(BlockId b, std::uint16_t old_valid);
@@ -217,7 +234,17 @@ class Ftl {
   std::uint64_t alloc_seq_ = 0;
   std::uint64_t valid_pages_ = 0;
   std::uint32_t retired_blocks_ = 0;
+
   bool in_gc_ = false;  ///< guards against recursive GC from relocation
+
+  // Static-WL cache. Erase counts change only in relocate_and_erase() and
+  // restore(); the set of full blocks only in retire_frontier_block() and
+  // relocate_and_erase().
+  EraseExtremes erases_;
+  /// The coldest kFull block (kInvalidBlock if none). Rescanned only when
+  /// needed after it was erased or the device was restored.
+  BlockId coldest_full_ = kInvalidBlock;
+  bool coldest_known_ = true;  ///< coldest_full_ is exact
 
   DeviceFaultPlan faults_;
   Xoshiro256 fault_rng_{0};

@@ -30,13 +30,37 @@ std::uint64_t StateCensus::total_bytes() const {
   return sum;
 }
 
+void MappingTable::Shard::account(ObjectId oid, RedState state,
+                                  std::uint64_t size, bool in) {
+  const auto idx = static_cast<std::size_t>(state);
+  if (in) {
+    ++census.objects[idx];
+    census.bytes[idx] += size;
+    if (is_intermediate(state)) pending.insert(oid);
+  } else {
+    --census.objects[idx];
+    census.bytes[idx] -= size;
+    if (is_intermediate(state)) pending.erase(oid);
+  }
+}
+
+void MappingTable::Shard::reaccount(ObjectId oid, RedState old_state,
+                                    std::uint64_t old_size,
+                                    const ObjectMeta& now) {
+  if (now.state == old_state && now.size_bytes == old_size) return;
+  account(oid, old_state, old_size, false);
+  account(oid, now.state, now.size_bytes, true);
+}
+
 MappingTable::MappingTable(std::size_t shard_count)
     : shards_(shard_count == 0 ? 1 : shard_count) {}
 
 bool MappingTable::create(const ObjectMeta& meta) {
   Shard& shard = shard_for(meta.oid);
   std::lock_guard lock(shard.mutex);
-  return shard.objects.try_emplace(meta.oid, meta).second;
+  if (!shard.objects.try_emplace(meta.oid, meta).second) return false;
+  shard.account(meta.oid, meta.state, meta.size_bytes, true);
+  return true;
 }
 
 std::optional<ObjectMeta> MappingTable::get(ObjectId oid) const {
@@ -59,7 +83,10 @@ bool MappingTable::mutate(ObjectId oid,
   std::lock_guard lock(shard.mutex);
   const auto it = shard.objects.find(oid);
   if (it == shard.objects.end()) return false;
+  const RedState state = it->second.state;
+  const std::uint64_t size = it->second.size_bytes;
   fn(it->second);
+  shard.reaccount(oid, state, size, it->second);
   return true;
 }
 
@@ -67,7 +94,11 @@ bool MappingTable::erase(ObjectId oid) {
   Shard& shard = shard_for(oid);
   std::lock_guard lock(shard.mutex);
   shard.logs.erase(oid);
-  return shard.objects.erase(oid) > 0;
+  const auto it = shard.objects.find(oid);
+  if (it == shard.objects.end()) return false;
+  shard.account(oid, it->second.state, it->second.size_bytes, false);
+  shard.objects.erase(it);
+  return true;
 }
 
 void MappingTable::for_each(
@@ -82,7 +113,20 @@ void MappingTable::for_each_mutable(
     const std::function<void(ObjectMeta&)>& fn) {
   for (Shard& shard : shards_) {
     std::lock_guard lock(shard.mutex);
-    for (auto& [oid, meta] : shard.objects) fn(meta);
+    for (auto& [oid, meta] : shard.objects) {
+      const RedState state = meta.state;
+      const std::uint64_t size = meta.size_bytes;
+      fn(meta);
+      shard.reaccount(oid, state, size, meta);
+    }
+  }
+}
+
+void MappingTable::for_each_pending(
+    const std::function<void(const ObjectMeta&)>& fn) const {
+  for (const Shard& shard : shards_) {
+    std::lock_guard lock(shard.mutex);
+    for (const ObjectId oid : shard.pending) fn(shard.objects.at(oid));
   }
 }
 
@@ -163,10 +207,9 @@ StateCensus MappingTable::census() const {
   StateCensus census;
   for (const Shard& shard : shards_) {
     std::lock_guard lock(shard.mutex);
-    for (const auto& [oid, meta] : shard.objects) {
-      const auto idx = static_cast<std::size_t>(meta.state);
-      ++census.objects[idx];
-      census.bytes[idx] += meta.size_bytes;
+    for (std::size_t i = 0; i < census.objects.size(); ++i) {
+      census.objects[i] += shard.census.objects[i];
+      census.bytes[i] += shard.census.bytes[i];
     }
   }
   return census;

@@ -2,6 +2,11 @@
 // in-process store with per-shard locking — our stand-in for the MySQL
 // metadata service. Tracks ObjectMeta plus each remapped object's epoch log,
 // and supports the compaction pass that bounds log memory.
+//
+// Each shard also keeps its state census and the set of objects in an
+// intermediate state up to date on every write (create, mutate, erase,
+// for_each_mutable), so the balancer's per-epoch census and stale-transition
+// scan cost what changed, not a walk of every object.
 #pragma once
 
 #include <array>
@@ -10,6 +15,7 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "meta/epoch_log.hpp"
@@ -55,6 +61,10 @@ class MappingTable {
   void for_each(const std::function<void(const ObjectMeta&)>& fn) const;
   void for_each_mutable(const std::function<void(ObjectMeta&)>& fn);
 
+  /// Visit every object in an intermediate state, in no particular order
+  /// (shard by shard, under each shard's lock). O(such objects).
+  void for_each_pending(const std::function<void(const ObjectMeta&)>& fn) const;
+
   /// Append a state/location change to the object's epoch log.
   void log_change(ObjectId oid, const EpochLogEntry& entry);
 
@@ -70,6 +80,7 @@ class MappingTable {
   std::optional<EpochLogEntry> latest_log_entry(ObjectId oid) const;
 
   std::size_t object_count() const;
+  /// Objects and bytes per state. O(shards): kept as counters.
   StateCensus census() const;
 
  private:
@@ -77,6 +88,14 @@ class MappingTable {
     mutable std::mutex mutex;
     std::unordered_map<ObjectId, ObjectMeta> objects;
     std::unordered_map<ObjectId, EpochLog> logs;
+    StateCensus census;                    ///< over `objects`
+    std::unordered_set<ObjectId> pending;  ///< oids in intermediate states
+
+    /// Count an object in (`in`) or out of `census` and `pending`.
+    void account(ObjectId oid, RedState state, std::uint64_t size, bool in);
+    /// Re-count an object after an in-place write.
+    void reaccount(ObjectId oid, RedState old_state, std::uint64_t old_size,
+                   const ObjectMeta& now);
   };
 
   Shard& shard_for(ObjectId oid) {

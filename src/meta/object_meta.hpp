@@ -2,6 +2,8 @@
 // tracking (Eq 1), and the two-level location indirection (Fig 3).
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string_view>
 
@@ -63,6 +65,31 @@ std::string_view red_state_name(RedState s);
 /// heap allocations.
 using ServerSet = InlineVec<ServerId, 16>;
 
+/// Eq 1 carried `gap` >= 1 epochs forward from heat `p` with `w` writes in
+/// the first of them: one step p/2 + w, then gap - 1 halvings. A halving
+/// whose result is a normal double is exact, so those halvings are done as
+/// at most two multiplications by a power of two. Below the smallest normal
+/// the halvings are replayed one at a time (at most 54 before the heat is
+/// zero), because each one rounds and a single scaling would round once.
+/// Bit-identical to stepping the recurrence epoch by epoch.
+inline double decay_heat(double p, std::uint32_t w, Epoch gap) {
+  p = p / 2.0 + w;
+  std::int64_t rest = static_cast<std::int64_t>(gap) - 1;
+  // Biased exponent: 1..2046 for a normal p, 0 for zero or a subnormal p,
+  // 2047 for inf and NaN, which halving leaves as they are.
+  const auto biased = static_cast<std::int64_t>(
+      std::bit_cast<std::uint64_t>(p) >> 52 & 0x7ff);
+  if (biased == 0x7ff) return p;
+  for (std::int64_t exact = std::min(rest, biased - 1); exact > 0;) {
+    const std::int64_t step = std::min<std::int64_t>(exact, 1022);
+    p *= std::bit_cast<double>(static_cast<std::uint64_t>(1023 - step) << 52);
+    exact -= step;
+    rest -= step;
+  }
+  for (; rest > 0 && p != 0.0; --rest) p /= 2.0;
+  return p;
+}
+
 struct ObjectMeta {
   ObjectId oid = 0;
   std::uint64_t size_bytes = 0;
@@ -91,19 +118,12 @@ struct ObjectMeta {
 
   /// Fold the exponential-decay recurrence forward to `now`. After this,
   /// `popularity` includes every epoch before `now` and `writes_in_epoch`
-  /// counts only epoch `now`.
+  /// counts only epoch `now`. O(1) in the gap (decay_heat).
   void fold_heat(Epoch now) {
-    while (heat_epoch < now) {
-      popularity = popularity / 2.0 + writes_in_epoch;
-      writes_in_epoch = 0;
-      ++heat_epoch;
-      // Once the pending writes are folded, the remaining catch-up epochs
-      // only halve; shortcut when the heat has decayed to nothing.
-      if (popularity == 0.0 && writes_in_epoch == 0) {
-        heat_epoch = now;
-        break;
-      }
-    }
+    if (heat_epoch >= now) return;
+    popularity = decay_heat(popularity, writes_in_epoch, now - heat_epoch);
+    writes_in_epoch = 0;
+    heat_epoch = now;
   }
 
   /// Record one write during epoch `now`.
@@ -114,16 +134,11 @@ struct ObjectMeta {
     last_write_epoch = now;
   }
 
-  /// Current write heat including the partially-elapsed epoch.
+  /// Current write heat including the partially-elapsed epoch. Equal to
+  /// folding first, so the heat never needs an eager per-epoch fold.
   double heat(Epoch now) const {
-    double p = popularity;
-    std::uint32_t w = writes_in_epoch;
-    for (Epoch e = heat_epoch; e < now; ++e) {
-      p = p / 2.0 + w;
-      w = 0;
-      if (p == 0.0) break;
-    }
-    return p + w;
+    if (heat_epoch >= now) return popularity + writes_in_epoch;
+    return decay_heat(popularity, writes_in_epoch, now - heat_epoch);
   }
 };
 

@@ -82,9 +82,7 @@ std::string TraceEvent::to_json() const {
 }
 
 TraceSink::TraceSink(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  ring_.resize(capacity_);
-}
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
 void TraceSink::set_type_filter(const std::vector<TraceType>& keep) {
   std::uint64_t mask = 0;
@@ -102,6 +100,7 @@ void TraceSink::record(TraceEvent e) {
   if (!accepts(e.type)) return;
   std::lock_guard lock(mutex_);
   e.seq = recorded_++;
+  if (ring_.empty()) ring_.resize(capacity_);
   ring_[head_] = std::move(e);
   head_ = (head_ + 1) % capacity_;
   if (size_ < capacity_) ++size_;
@@ -110,7 +109,7 @@ void TraceSink::record(TraceEvent e) {
 void TraceSink::set_capacity(std::size_t capacity) {
   std::lock_guard lock(mutex_);
   capacity_ = capacity == 0 ? 1 : capacity;
-  ring_.assign(capacity_, TraceEvent{});
+  std::vector<TraceEvent>().swap(ring_);
   head_ = 0;
   size_ = 0;
 }
@@ -118,6 +117,11 @@ void TraceSink::set_capacity(std::size_t capacity) {
 std::size_t TraceSink::capacity() const {
   std::lock_guard lock(mutex_);
   return capacity_;
+}
+
+std::size_t TraceSink::allocated() const {
+  std::lock_guard lock(mutex_);
+  return ring_.size();
 }
 
 std::vector<TraceEvent> TraceSink::snapshot() const {

@@ -130,6 +130,9 @@ class TraceSink {
   /// Resize (and clear) the ring. Use before a run that must not wrap.
   void set_capacity(std::size_t capacity);
   std::size_t capacity() const;
+  /// Ring slots allocated: 0 until the first accepted event, then
+  /// capacity(). A sink that never records holds no event storage.
+  std::size_t allocated() const;
 
   /// Events currently buffered, oldest first.
   std::vector<TraceEvent> snapshot() const;
@@ -144,7 +147,7 @@ class TraceSink {
 
  private:
   mutable std::mutex mutex_;
-  std::vector<TraceEvent> ring_;
+  std::vector<TraceEvent> ring_;  ///< empty until the first record
   std::size_t capacity_;
   std::size_t head_ = 0;  ///< next write slot
   std::size_t size_ = 0;

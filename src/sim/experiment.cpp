@@ -144,6 +144,10 @@ ExperimentResult run_experiment_on(const ExperimentConfig& config,
   if (config.workers > 1) {
     ShardExecutor::Options opts;
     opts.workers = config.workers;
+    // A device closure costs well under a microsecond, so shard workers
+    // idle between publishes and each publish pays a condvar wake on this
+    // thread. Publish in larger chunks (docs/PARALLELISM.md).
+    opts.publish_chunk = 256;
     exec = std::make_unique<ShardExecutor>(cluster, opts);
     cluster.attach_executor(exec.get());
   }

@@ -106,14 +106,18 @@ void ShardExecutor::publish(Shard& shard) {
   if (shard.pending.empty()) return;
   {
     std::lock_guard lock(shard.mutex);
-    for (auto& task : shard.pending) shard.queue.push_back(std::move(task));
+    if (shard.queue.empty()) {
+      shard.queue.swap(shard.pending);
+    } else {
+      for (auto& task : shard.pending) shard.queue.push_back(std::move(task));
+    }
   }
   shard.cv.notify_one();
   shard.pending.clear();
 }
 
 void ShardExecutor::worker_loop(Shard& shard) {
-  std::deque<Task> batch;
+  std::vector<Task> batch;
   for (;;) {
     {
       std::unique_lock lock(shard.mutex);

@@ -114,7 +114,7 @@ class ShardExecutor final : public cluster::DeviceExecutor {
     std::mutex mutex;
     std::condition_variable cv;        ///< work arrived / stopping
     std::condition_variable idle_cv;   ///< queue empty and not busy
-    std::deque<Task> queue;
+    std::vector<Task> queue;
     std::vector<DrainRecord> journal;  ///< completed (server, seq), in
                                        ///< execution order
     std::uint64_t executed = 0;
@@ -122,8 +122,10 @@ class ShardExecutor final : public cluster::DeviceExecutor {
     bool stopping = false;
     std::exception_ptr error;
     std::thread thread;
-    /// Coordinator-local buffer; moved into `queue` under the mutex every
-    /// `publish_chunk` closures (amortizes lock traffic).
+    /// Coordinator-local buffer; handed to `queue` under the mutex every
+    /// `publish_chunk` closures (amortizes lock traffic). The hand-off swaps
+    /// buffers when the worker has taken the last one, so `pending`,
+    /// `queue` and the worker's batch circulate without reallocating.
     std::vector<Task> pending;
   };
 

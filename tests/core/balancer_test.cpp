@@ -2,6 +2,9 @@
 // compaction cadence, and Fig 8 telemetry.
 #include "core/balancer.hpp"
 
+#include <cstdint>
+#include <iterator>
+
 #include <gtest/gtest.h>
 
 namespace chameleon::core {
@@ -195,15 +198,37 @@ TEST(Balancer, CensusReflectsStates) {
 }
 
 TEST(Balancer, HeatsFoldedEachEpoch) {
+  // Eq 1, p_k = p_{k-1}/2 + w_k, advances once per epoch, with or without
+  // writes in between. The fold is lazy, so each epoch's value is read
+  // through heat(): p_{e-1} plus the writes seen so far in epoch e.
+  Fixture f;
+  Balancer balancer(f.store, f.opts);
+  const std::uint32_t writes[] = {2, 0, 3, 1, 0, 0, 5};
+  double folded = 0.0;  // p_{e-1}
+  for (Epoch e = 0; e < std::size(writes); ++e) {
+    if (e > 0) balancer.on_epoch(e);
+    for (std::uint32_t i = 0; i < writes[e]; ++i) f.store.put(6, 8192, e);
+    EXPECT_EQ(f.table.get(6)->heat(e), folded + writes[e]) << "epoch " << e;
+    folded = folded / 2.0 + writes[e];
+  }
+}
+
+TEST(Balancer, EpochLeavesHeatToItsReaders) {
   Fixture f;
   f.store.put(6, 8192, 0);
   f.store.put(6, 8192, 0);
   Balancer balancer(f.store, f.opts);
   balancer.on_epoch(3);
-  const auto m = *f.table.get(6);
-  EXPECT_EQ(m.heat_epoch, 3u);
+  // No per-epoch fold pass: the stored recurrence is untouched, and heat()
+  // reads what a fold would have stored.
+  auto m = *f.table.get(6);
+  EXPECT_EQ(m.heat_epoch, 0u);
+  EXPECT_EQ(m.writes_in_epoch, 2u);
+  const double heat = m.heat(3);
+  EXPECT_EQ(heat, 0.5);  // two writes in epoch 0, then two halvings
+  m.fold_heat(3);
+  EXPECT_EQ(m.popularity, heat);
   EXPECT_EQ(m.writes_in_epoch, 0u);
-  EXPECT_GT(m.popularity, 0.0);
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
+#include "common/rng.hpp"
+
 namespace chameleon::core {
 namespace {
 
@@ -116,6 +121,83 @@ TEST(CandidateIndex, HeatComputedAtGivenEpoch) {
   const auto* hottest = at_five.take_hottest(0, kInvalidServer, table);
   ASSERT_NE(hottest, nullptr);
   EXPECT_EQ(hottest->oid, h1 > h2 ? 1u : 2u);
+}
+
+/// The index as a fully sorted list per server: the order chunked
+/// selection must reproduce, including the live-table revalidation.
+class SortedReference {
+ public:
+  SortedReference(const meta::MappingTable& table, ServerId server)
+      : server_(server) {
+    table.for_each([&](const meta::ObjectMeta& m) {
+      if (meta::is_intermediate(m.state) || !m.src.contains(server)) return;
+      items_.push_back({m.oid, m.heat(0), m.size_bytes, m.state});
+    });
+    std::sort(items_.begin(), items_.end(),
+              [](const Candidate& a, const Candidate& b) {
+                return a.heat < b.heat || (a.heat == b.heat && a.oid < b.oid);
+              });
+  }
+
+  ObjectId take(bool hottest, ServerId exclude,
+                const meta::MappingTable& table) {
+    while (!items_.empty()) {
+      const Candidate c = hottest ? items_.back() : items_.front();
+      if (hottest) {
+        items_.pop_back();
+      } else {
+        items_.pop_front();
+      }
+      const auto live = table.get(c.oid);
+      if (!live || meta::is_intermediate(live->state)) continue;
+      if (!live->src.contains(server_)) continue;
+      if (exclude != kInvalidServer && live->src.contains(exclude)) continue;
+      return c.oid;
+    }
+    return 0;
+  }
+
+ private:
+  ServerId server_;
+  std::deque<Candidate> items_;
+};
+
+TEST(CandidateIndex, ChunkedSelectionReturnsTheFullySortedSequence) {
+  Xoshiro256 rng(17);
+  CandidateIndex index;  // rebuilt per round, reusing its storage
+  for (int round = 0; round < 60; ++round) {
+    meta::MappingTable table;
+    const auto objects = static_cast<ObjectId>(rng.next_below(400));
+    for (ObjectId oid = 1; oid <= objects; ++oid) {
+      // Few distinct heats, so the oid tie-break decides most orders.
+      const double heat = static_cast<double>(rng.next_below(6));
+      const auto first = static_cast<ServerId>(rng.next_below(4));
+      table.create(make_object(oid, meta::RedState::kRep, heat,
+                               {first, (first + 1) % 4, (first + 2) % 4}));
+    }
+    index.rebuild(table, 4, 0);
+    std::vector<SortedReference> reference;
+    for (ServerId s = 0; s < 4; ++s) reference.emplace_back(table, s);
+    for (int step = 0; step < 500; ++step) {
+      const auto server = static_cast<ServerId>(rng.next_below(4));
+      const bool hottest = rng.next_below(2) == 0;
+      const ServerId exclude = rng.next_below(4) == 0
+                                   ? static_cast<ServerId>(rng.next_below(4))
+                                   : kInvalidServer;
+      const Candidate* got =
+          hottest ? index.take_hottest(server, exclude, table)
+                  : index.take_coldest(server, exclude, table);
+      const ObjectId want = reference[server].take(hottest, exclude, table);
+      ASSERT_EQ(got == nullptr ? 0 : got->oid, want)
+          << "round " << round << " step " << step;
+      // A scheduled move takes the object out of every server's pool.
+      if (got != nullptr && rng.next_below(3) == 0) {
+        table.mutate(got->oid, [](meta::ObjectMeta& m) {
+          m.state = meta::RedState::kRepEwo;
+        });
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace chameleon::meta {
 namespace {
@@ -109,6 +112,63 @@ TEST(MappingTable, CensusCountsStatesAndBytes) {
   EXPECT_EQ(c.objects_in(RedState::kLateRep), 1u);
   EXPECT_EQ(c.total_objects(), 4u);
   EXPECT_EQ(c.total_bytes(), 360u);
+}
+
+TEST(MappingTable, CensusAndPendingSetMatchARecountAfterEveryWrite) {
+  MappingTable t(4);
+  Xoshiro256 rng(9);
+  const auto random_state = [&rng] {
+    return static_cast<RedState>(rng.next_below(6));
+  };
+  for (int step = 0; step < 4000; ++step) {
+    const auto oid = static_cast<ObjectId>(rng.next_below(64));
+    switch (rng.next_below(8)) {
+      case 0:
+      case 1:
+      case 2:
+        t.create(make_meta(oid, random_state(), 1 + rng.next_below(9000)));
+        break;
+      case 3:
+        t.erase(oid);
+        break;
+      case 4:
+      case 5:
+      case 6: {
+        const RedState state = random_state();
+        const std::uint64_t size = 1 + rng.next_below(9000);
+        const std::uint64_t what = rng.next_below(4);
+        t.mutate(oid, [&](ObjectMeta& m) {
+          if (what & 1) m.state = state;
+          if (what & 2) m.size_bytes = size;
+        });
+        break;
+      }
+      default: {
+        const RedState state = random_state();
+        t.for_each_mutable([&](ObjectMeta& m) {
+          if (m.oid % 5 == 0) m.state = state;
+          if (m.oid % 7 == 0) ++m.size_bytes;
+        });
+        break;
+      }
+    }
+    StateCensus want;
+    std::vector<ObjectId> want_pending;
+    t.for_each([&](const ObjectMeta& m) {
+      const auto idx = static_cast<std::size_t>(m.state);
+      ++want.objects[idx];
+      want.bytes[idx] += m.size_bytes;
+      if (is_intermediate(m.state)) want_pending.push_back(m.oid);
+    });
+    std::vector<ObjectId> pending;
+    t.for_each_pending([&](const ObjectMeta& m) { pending.push_back(m.oid); });
+    std::sort(want_pending.begin(), want_pending.end());
+    std::sort(pending.begin(), pending.end());
+    const StateCensus got = t.census();
+    ASSERT_EQ(got.objects, want.objects) << "step " << step;
+    ASSERT_EQ(got.bytes, want.bytes) << "step " << step;
+    ASSERT_EQ(pending, want_pending) << "step " << step;
+  }
 }
 
 TEST(MappingTable, ShardCountOfZeroStillWorks) {

@@ -2,8 +2,53 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+
+#include "common/rng.hpp"
+
 namespace chameleon::meta {
 namespace {
+
+/// Eq 1 stepped one epoch at a time: the reference the closed form in
+/// heat() and fold_heat() must match bit for bit.
+double stepped_heat(double p, std::uint32_t w, Epoch gap) {
+  for (Epoch e = 0; e < gap; ++e) {
+    p = p / 2.0 + w;
+    w = 0;
+    if (p == 0.0) break;
+  }
+  return p + w;
+}
+
+/// Checks heat() and fold_heat() against the stepped recurrence, and that
+/// folding part of the gap first changes nothing.
+::testing::AssertionResult matches_stepped(double p, std::uint32_t w,
+                                           Epoch gap, Epoch split) {
+  constexpr Epoch kStart = 7;
+  ObjectMeta m;
+  m.popularity = p;
+  m.writes_in_epoch = w;
+  m.heat_epoch = kStart;
+  const double want = stepped_heat(p, w, gap);
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  if (bits(m.heat(kStart + gap)) != bits(want)) {
+    return ::testing::AssertionFailure()
+           << "heat: p=" << std::hexfloat << p << " w=" << w << " gap=" << gap
+           << " got " << m.heat(kStart + gap) << " want " << want;
+  }
+  ObjectMeta folded = m;
+  folded.fold_heat(kStart + split);
+  folded.fold_heat(kStart + gap);
+  if (bits(folded.popularity) != bits(want) || folded.writes_in_epoch != 0 ||
+      folded.heat_epoch != kStart + gap) {
+    return ::testing::AssertionFailure()
+           << "fold: p=" << std::hexfloat << p << " w=" << w << " gap=" << gap
+           << " split=" << split << " got " << folded.popularity;
+  }
+  return ::testing::AssertionSuccess();
+}
 
 TEST(RedState, IntermediateClassification) {
   EXPECT_FALSE(is_intermediate(RedState::kRep));
@@ -70,6 +115,39 @@ TEST(Popularity, RecurrenceMatchesClosedForm) {
   EXPECT_DOUBLE_EQ(m.heat(4), 3.0 / 8 + 5.0 / 4 + 0.0 / 2 + 2.0);
   // Mid-epoch-3 view: p_2 plus the in-flight writes at weight 1.
   EXPECT_DOUBLE_EQ(m.heat(3), (3.0 / 2 + 5.0) / 2 + 2.0);
+}
+
+TEST(Popularity, ClosedFormMatchesSteppedRecurrenceBitForBit) {
+  Xoshiro256 rng(26);
+  for (int i = 0; i < 100'000; ++i) {
+    // Mantissa x 2^e with e reaching into the subnormal range, and gaps past
+    // the 1,075 epochs that take any heat to zero, so results land on both
+    // sides of the smallest normal double.
+    const double p =
+        rng.next_below(8) == 0
+            ? 0.0
+            : std::ldexp(1.0 + rng.next_double(),
+                         static_cast<int>(rng.next_below(1200)) - 1100);
+    const auto w = static_cast<std::uint32_t>(
+        rng.next_below(2) == 0 ? 0 : rng.next_below(1000));
+    const auto gap = static_cast<Epoch>(1 + rng.next_below(2200));
+    const auto split = static_cast<Epoch>(rng.next_below(gap + 1));
+    ASSERT_TRUE(matches_stepped(p, w, gap, split));
+  }
+  // Edges: the smallest normal and subnormal heats, the largest finite
+  // heat, heats that only become subnormal late, and the longest gap.
+  constexpr double kMin = std::numeric_limits<double>::min();
+  constexpr double kTrue = std::numeric_limits<double>::denorm_min();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  for (const double p : {kMin, kMin * 3, kMin / 3, kTrue, kTrue * 5, kMax,
+                         1.0, 3.0, 0x1.fffffffffffffp-1000}) {
+    for (const Epoch gap : {1u, 2u, 52u, 53u, 1022u, 1023u, 1024u, 1074u,
+                            1075u, 1076u, 2098u, 2099u, 4'000'000'000u}) {
+      for (const std::uint32_t w : {0u, 1u}) {
+        ASSERT_TRUE(matches_stepped(p, w, gap, gap / 2));
+      }
+    }
+  }
 }
 
 TEST(Popularity, FoldHeatIsIdempotent) {

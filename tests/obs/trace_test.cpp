@@ -26,6 +26,30 @@ TEST(TraceSinkTest, DisabledSinkRecordsNothing) {
   EXPECT_EQ(sink.recorded(), 0u);
 }
 
+TEST(TraceSinkTest, RingStorageIsAllocatedOnlyForAcceptedEvents) {
+  TraceSink sink;  // the process-wide default capacity
+  sink.record(census_event(1));  // disabled: rejected
+  EXPECT_EQ(sink.allocated(), 0u);
+  sink.set_enabled(true);
+  sink.set_type_filter({TraceType::kGcCycle});
+  sink.record(census_event(2));  // filtered out
+  EXPECT_EQ(sink.allocated(), 0u);
+  sink.clear_type_filter();
+  sink.record(census_event(3));
+  EXPECT_EQ(sink.allocated(), sink.capacity());
+  EXPECT_EQ(sink.snapshot().size(), 1u);
+
+  sink.set_capacity(5);  // frees the ring until the next record
+  EXPECT_EQ(sink.allocated(), 0u);
+  EXPECT_TRUE(sink.snapshot().empty());
+  for (std::uint64_t i = 0; i < 12; ++i) sink.record(census_event(i));
+  EXPECT_EQ(sink.allocated(), 5u);
+  const auto events = sink.snapshot();
+  ASSERT_EQ(events.size(), 5u);
+  EXPECT_EQ(events.front().epoch, 7u);
+  EXPECT_EQ(events.back().epoch, 11u);
+}
+
 TEST(TraceSinkTest, WraparoundKeepsNewestAndCountsDropped) {
   TraceSink sink(4);
   sink.set_enabled(true);

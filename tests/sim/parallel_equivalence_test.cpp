@@ -8,6 +8,7 @@
 // digest at any worker count.
 #include <cstdint>
 #include <map>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -106,8 +107,21 @@ void expect_equivalent(const ObservedRun& base, const ObservedRun& par,
   EXPECT_EQ(base.metrics, par.metrics);
 }
 
-class ParallelEquivalence
-    : public ::testing::TestWithParam<std::pair<const char*, Scheme>> {};
+struct EquivalenceCase {
+  const char* workload;
+  Scheme scheme;
+};
+
+// gtest prints the parameter into each listed test name, and ctest registers
+// that name. The default printer shows a `const char*` with its address,
+// which differs on every run, so the scheme is printed instead (the workload
+// is already the case name).
+void PrintTo(const EquivalenceCase& c, std::ostream* os) {
+  *os << scheme_name(c.scheme);
+}
+
+class ParallelEquivalence : public ::testing::TestWithParam<EquivalenceCase> {
+};
 
 TEST_P(ParallelEquivalence, BitIdenticalAcrossWorkerCounts) {
   const auto& [workload, scheme] = GetParam();
@@ -123,11 +137,11 @@ TEST_P(ParallelEquivalence, BitIdenticalAcrossWorkerCounts) {
 INSTANTIATE_TEST_SUITE_P(
     Workloads, ParallelEquivalence,
     ::testing::Values(
-        std::pair<const char*, Scheme>{"ycsb-zipf", Scheme::kChameleonEc},
-        std::pair<const char*, Scheme>{"mds_0", Scheme::kEdmRep},
-        std::pair<const char*, Scheme>{"web_1", Scheme::kRepEcBaseline}),
+        EquivalenceCase{"ycsb-zipf", Scheme::kChameleonEc},
+        EquivalenceCase{"mds_0", Scheme::kEdmRep},
+        EquivalenceCase{"web_1", Scheme::kRepEcBaseline}),
     [](const auto& info) {
-      std::string name = info.param.first;
+      std::string name = info.param.workload;
       for (auto& c : name) {
         if (c == '-') c = '_';
       }
