@@ -53,10 +53,6 @@ void EdmBalancer::on_epoch(Epoch now) {
   const auto wear = monitor_.collect(now);
   estimator_.update(wear);
 
-  // Keep heat folding on the same cadence as Chameleon.
-  store_.table().for_each_mutable(
-      [now](meta::ObjectMeta& m) { m.fold_heat(now); });
-
   std::vector<double> est(wear.size(), 0.0);
   for (const auto& info : wear) {
     est[info.server] = static_cast<double>(info.erase_count);

@@ -6,9 +6,6 @@ void HybridRepEcPolicy::on_epoch(Epoch now) {
   HybridEpochReport report;
   report.epoch = now;
 
-  store_.table().for_each_mutable(
-      [now](meta::ObjectMeta& m) { m.fold_heat(now); });
-
   // Collect first (acting inside for_each would re-enter the table locks).
   std::vector<ObjectId> to_convert;
   store_.table().for_each([&](const meta::ObjectMeta& m) {

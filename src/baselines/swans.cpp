@@ -15,8 +15,6 @@ void SwansBalancer::on_epoch(Epoch now) {
   report.epoch = now;
 
   const auto wear = monitor_.collect(now);
-  store_.table().for_each_mutable(
-      [now](meta::ObjectMeta& m) { m.fold_heat(now); });
 
   // Per-epoch write intensity per server (what SWANS monitors).
   std::vector<double> intensity(wear.size(), 0.0);

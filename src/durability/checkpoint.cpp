@@ -6,13 +6,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <tuple>
 
 #include "common/binary_io.hpp"
 #include "common/crc32c.hpp"
 #include "core/chameleon.hpp"
+#include "durability/mapped_file.hpp"
 #include "fault/digest.hpp"
 
 namespace chameleon::durability {
@@ -65,10 +65,88 @@ meta::ObjectMeta deserialize_object_meta(BinaryReader& r) {
   return m;
 }
 
-std::vector<std::uint8_t> build_payload(core::Chameleon& system,
-                                        const CheckpointMeta& meta) {
-  std::vector<std::uint8_t> payload;
-  BinaryWriter w(payload);
+/// Streams one checkpoint file. The payload is serialized into a reused
+/// buffer that is written out and folded into the CRC whenever it passes
+/// kFlushBytes, so a checkpoint costs one bounded buffer, not a copy of the
+/// state (docs/DURABILITY.md: the bound also keeps glibc from leaving
+/// later checkpoint buffers resident).
+class CheckpointFileWriter {
+ public:
+  static constexpr std::size_t kFlushBytes = 1 * kMiB;
+
+  explicit CheckpointFileWriter(const std::filesystem::path& path)
+      : fd_(::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                   0644)) {
+    if (fd_ < 0) sys_fail("checkpoint: open " + path.string());
+    buf_.reserve(kFlushBytes + 64 * kKiB);
+    // payload_len is not known yet: finish() patches it in place.
+    for (const char c : kCheckpointMagic) out_.u8(static_cast<std::uint8_t>(c));
+    out_.u64(0);
+    write_buffer();
+  }
+  ~CheckpointFileWriter() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  CheckpointFileWriter(const CheckpointFileWriter&) = delete;
+  CheckpointFileWriter& operator=(const CheckpointFileWriter&) = delete;
+
+  BinaryWriter& out() { return out_; }
+
+  /// Write the buffered payload bytes out and fold them into the CRC.
+  void flush() {
+    crc_ = crc32c(std::span<const std::uint8_t>(buf_), crc_);
+    payload_len_ += buf_.size();
+    write_buffer();
+  }
+  void flush_if_full() {
+    if (buf_.size() >= kFlushBytes) flush();
+  }
+
+  /// Append the CRC, patch payload_len, fsync and close. Returns the file
+  /// size.
+  std::uint64_t finish() {
+    flush();
+    out_.u32(crc_);
+    write_buffer();
+    out_.u64(payload_len_);
+    if (::pwrite(fd_, buf_.data(), buf_.size(), sizeof kCheckpointMagic) !=
+        static_cast<ssize_t>(buf_.size())) {
+      sys_fail("checkpoint: write length");
+    }
+    buf_.clear();
+    if (::fsync(fd_) != 0) sys_fail("checkpoint: fsync");
+    const int fd = fd_;
+    fd_ = -1;
+    if (::close(fd) != 0) sys_fail("checkpoint: close");
+    return sizeof kCheckpointMagic + 8 + payload_len_ + 4;
+  }
+
+ private:
+  void write_buffer() {
+    std::size_t written = 0;
+    while (written < buf_.size()) {
+      const ssize_t n =
+          ::write(fd_, buf_.data() + written, buf_.size() - written);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        sys_fail("checkpoint: write");
+      }
+      written += static_cast<std::size_t>(n);
+    }
+    buf_.clear();
+  }
+
+  int fd_;
+  std::vector<std::uint8_t> buf_;
+  BinaryWriter out_{buf_};
+  std::uint32_t crc_ = 0;
+  std::uint64_t payload_len_ = 0;
+};
+
+void write_payload(CheckpointFileWriter& file, core::Chameleon& system,
+                   const CheckpointMeta& meta) {
+  BinaryWriter& w = file.out();
   const core::ChameleonConfig& config = system.config();
 
   // Header: identity + sanity fields a loader validates before trusting
@@ -97,12 +175,17 @@ std::vector<std::uint8_t> build_payload(core::Chameleon& system,
   std::sort(metas.begin(), metas.end(),
             [](const auto& a, const auto& b) { return a.oid < b.oid; });
   w.u64(metas.size());
-  for (const auto& m : metas) serialize_object_meta(w, m);
+  for (const auto& m : metas) {
+    serialize_object_meta(w, m);
+    file.flush_if_full();
+  }
+  file.flush();
 
   // SERVERS: full bit-level device state (flash is non-volatile; a host
   // crash does not reset erase counts or page maps).
   for (ServerId s = 0; s < system.cluster().size(); ++s) {
     system.cluster().server(s).log().save(w);
+    file.flush();
   }
 
   // PAYLOADS: real fragment bytes when the payload plane is on, sorted by
@@ -128,8 +211,10 @@ std::vector<std::uint8_t> build_payload(core::Chameleon& system,
       w.u64(key);
       w.u32(static_cast<std::uint32_t>(bytes->size()));
       w.bytes(*bytes);
+      file.flush_if_full();
     }
   }
+  file.flush();
 
   // MEMBERSHIP (supervised mode): declared-dead servers and not-yet-lapsed
   // suspects, so recovery resumes with the same liveness view.
@@ -151,8 +236,6 @@ std::vector<std::uint8_t> build_payload(core::Chameleon& system,
     w.u32(static_cast<std::uint32_t>(suspects.size()));
     for (const ServerId s : suspects) w.u32(s);
   }
-
-  return payload;
 }
 
 }  // namespace
@@ -200,36 +283,16 @@ CheckpointMeta save_checkpoint(const std::filesystem::path& dir,
   meta.next_record_seq = next_record_seq;
   meta.digest = fault::cluster_digest(system.store());
 
-  const std::vector<std::uint8_t> payload = build_payload(system, meta);
-
-  std::vector<std::uint8_t> file;
-  BinaryWriter w(file);
-  for (const char c : kCheckpointMagic) w.u8(static_cast<std::uint8_t>(c));
-  w.u64(payload.size());
-  w.bytes(payload);
-  w.u32(crc32c(std::span<const std::uint8_t>(payload)));
-
   // Atomic publication: a reader sees the old checkpoint set or the new one.
+  // A crash before the rename leaves only the .tmp file, which no listing
+  // matches.
   const std::filesystem::path path = checkpoint_path(dir, seq);
   const std::filesystem::path tmp = path.string() + ".tmp";
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) sys_fail("checkpoint: open " + tmp.string());
-  std::size_t written = 0;
-  while (written < file.size()) {
-    const ssize_t n = ::write(fd, file.data() + written, file.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      sys_fail("checkpoint: write");
-    }
-    written += static_cast<std::size_t>(n);
+  {
+    CheckpointFileWriter file(tmp);
+    write_payload(file, system, meta);
+    meta.file_bytes = file.finish();
   }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    sys_fail("checkpoint: fsync");
-  }
-  ::close(fd);
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     sys_fail("checkpoint: rename");
   }
@@ -244,12 +307,11 @@ CheckpointMeta save_checkpoint(const std::filesystem::path& dir,
 
 CheckpointMeta load_checkpoint(const std::filesystem::path& path,
                                core::Chameleon& system) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("checkpoint: cannot open " + path.string());
-  }
-  const std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  // Mapped, not read: the payload is parsed straight out of the page cache.
+  // The whole-file CRC is checked before the first byte reaches `system`,
+  // so a rejected file leaves it fresh for an older checkpoint.
+  const MappedFile file(path);
+  const std::span<const std::uint8_t> bytes = file.bytes();
   if (bytes.size() < 8 + 8 + 4) {
     throw std::runtime_error("checkpoint: truncated file " + path.string());
   }
@@ -271,6 +333,7 @@ CheckpointMeta load_checkpoint(const std::filesystem::path& path,
 
   BinaryReader r(payload);
   CheckpointMeta meta;
+  meta.file_bytes = bytes.size();
   const std::uint32_t version = r.u32();
   if (version != kCheckpointVersion) {
     throw std::runtime_error("checkpoint: unsupported version " +

@@ -8,6 +8,9 @@
 //   magic "CHCKPT01" (8) | u64 payload_len | payload | u32 crc32c(payload)
 // written as temp file + fsync + rename + directory fsync, so a crash leaves
 // either the old complete file set or the new one, never a torn snapshot.
+// The writer streams the payload through one bounded buffer and patches
+// payload_len in place before the fsync; the loader maps the file and checks
+// the CRC before it applies anything.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +37,7 @@ struct CheckpointMeta {
   std::uint64_t wal_segment_seq = 0;   ///< first WAL segment to replay
   std::uint64_t next_record_seq = 0;   ///< first WAL record seq after this
   std::uint64_t digest = 0;            ///< fault::cluster_digest at snapshot
+  std::uint64_t file_bytes = 0;        ///< size of the checkpoint file
 };
 
 std::filesystem::path checkpoint_path(const std::filesystem::path& dir,

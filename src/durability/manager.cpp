@@ -220,8 +220,12 @@ CheckpointMeta Manager::checkpoint() {
     next_record = wal_->next_record_seq();
   }
   const std::uint64_t seq = ++checkpoint_seq_;
+  const auto t0 = std::chrono::steady_clock::now();
   const CheckpointMeta meta =
       save_checkpoint(config_.dir, seq, system_, wal_segment, next_record);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
   retained_.emplace_back(seq, meta.wal_segment_seq);
   ++checkpoints_written_;
   const std::uint64_t records = records_since_checkpoint_;
@@ -232,6 +236,15 @@ CheckpointMeta Manager::checkpoint() {
         .counter("chameleon_checkpoints_total", {},
                  "Full-cluster durability snapshots written")
         .inc();
+    obs::metrics()
+        .gauge("chameleon_checkpoint_seconds", {},
+               "Wall-clock duration of the last checkpoint (digest, "
+               "serialize, write, fsync, rename)")
+        .set(seconds);
+    obs::metrics()
+        .gauge("chameleon_checkpoint_bytes", {},
+               "Size of the last checkpoint file")
+        .set(static_cast<double>(meta.file_bytes));
     auto& sink = obs::trace();
     if (sink.accepts(obs::TraceType::kCheckpoint)) {
       obs::TraceEvent e;
@@ -261,6 +274,23 @@ void Manager::prune() {
       std::filesystem::remove(path);
     }
   }
+}
+
+std::uint64_t Manager::sync_covering() {
+  WalWriter::SyncTicket ticket;
+  std::function<void()> hook;
+  {
+    std::lock_guard<std::mutex> lock(wal_mutex_);
+    ticket = wal_->begin_sync();
+    hook = sync_hook_for_test_;
+  }
+  if (ticket.fd >= 0) {
+    if (hook) hook();
+    WalWriter::sync_ticket(ticket);
+    std::lock_guard<std::mutex> lock(wal_mutex_);
+    wal_->end_sync(ticket);
+  }
+  return ticket.last_record_seq;
 }
 
 void Manager::append(WalRecord record) {

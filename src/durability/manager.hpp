@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
 
@@ -89,12 +90,15 @@ class Manager : public MutationJournal {
 
   /// Group-commit primitive: one fsync covering every record appended
   /// before the call. Returns the highest record seq now durable. Safe to
-  /// call from the committer thread while the store thread appends.
-  std::uint64_t sync_covering() {
+  /// call from the committer thread while the store thread appends: the
+  /// fsync itself runs outside wal_mutex_, so appends never wait for it.
+  std::uint64_t sync_covering();
+
+  /// Test hook: runs in sync_covering() after the covered seq is taken and
+  /// before the unlocked fsync, so a test can hold a group fsync open.
+  void set_sync_hook_for_test(std::function<void()> hook) {
     std::lock_guard<std::mutex> lock(wal_mutex_);
-    const std::uint64_t seq = wal_->last_record_seq();
-    wal_->sync();
-    return seq;
+    sync_hook_for_test_ = std::move(hook);
   }
 
   /// Seq of the most recently appended record (0 = none). Lock-free; the
@@ -134,8 +138,10 @@ class Manager : public MutationJournal {
   DurabilityConfig config_;
   std::unique_ptr<WalWriter> wal_;
   /// Guards wal_ (and the checkpoint barrier's WAL half): the store thread
-  /// appends while the group-commit committer fsyncs.
+  /// appends while the group-commit committer takes and settles its fsync
+  /// tickets.
   std::mutex wal_mutex_;
+  std::function<void()> sync_hook_for_test_;  ///< guarded by wal_mutex_
   std::atomic<std::uint64_t> last_appended_seq_{0};
   std::unique_ptr<GroupCommit> group_commit_;
   std::uint64_t checkpoint_seq_ = 0;       ///< last checkpoint written/loaded

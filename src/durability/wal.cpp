@@ -6,11 +6,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 
 #include "common/binary_io.hpp"
 #include "common/crc32c.hpp"
+#include "durability/mapped_file.hpp"
 
 namespace chameleon::durability {
 
@@ -21,14 +21,6 @@ constexpr std::size_t kSegmentHeader = 8 + 4 + 8 + 8 + 4;
 
 [[noreturn]] void sys_fail(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-std::vector<std::uint8_t> read_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("wal: cannot open " + path.string());
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  return bytes;
 }
 
 }  // namespace
@@ -179,14 +171,14 @@ std::uint64_t wal_segment_seq(const std::filesystem::path& path) {
 void read_wal_segment(const std::filesystem::path& path, bool last_segment,
                       const std::function<void(const WalRecord&)>& fn,
                       WalReplayStats* stats, std::uint64_t* expected_seq) {
-  const std::vector<std::uint8_t> bytes = read_file(path);
-  const std::span<const std::uint8_t> data(bytes);
+  const MappedFile file(path);
+  const std::span<const std::uint8_t> data = file.bytes();
 
-  if (bytes.size() < kSegmentHeader) {
+  if (data.size() < kSegmentHeader) {
     // A header torn mid-write can only happen to the newest segment.
     if (last_segment) {
-      stats->truncated_bytes += bytes.size();
-      stats->torn_tail = bytes.size() > 0;
+      stats->truncated_bytes += data.size();
+      stats->torn_tail = !data.empty();
       ++stats->segments;
       return;
     }
@@ -211,7 +203,7 @@ void read_wal_segment(const std::filesystem::path& path, bool last_segment,
   BinaryReader crc_reader(data.subspan(kSegmentHeader - 4, 4));
   if (crc_reader.u32() != header_crc) {
     if (last_segment) {
-      stats->truncated_bytes += bytes.size();
+      stats->truncated_bytes += data.size();
       stats->torn_tail = true;
       ++stats->segments;
       return;
@@ -226,7 +218,7 @@ void read_wal_segment(const std::filesystem::path& path, bool last_segment,
 
   ++stats->segments;
   std::size_t offset = kSegmentHeader;
-  while (offset < bytes.size()) {
+  while (offset < data.size()) {
     WalRecord record;
     std::size_t next = 0;
     const WalDecode outcome = decode_wal_record(data, offset, &record, &next);
@@ -236,7 +228,7 @@ void read_wal_segment(const std::filesystem::path& path, bool last_segment,
       // can follow a break in the byte stream. The same break in an older
       // segment is silent data loss — fail loudly instead.
       if (last_segment) {
-        stats->truncated_bytes += bytes.size() - offset;
+        stats->truncated_bytes += data.size() - offset;
         stats->torn_tail = true;
         return;
       }
@@ -275,7 +267,7 @@ void WalWriter::open_segment(std::uint64_t segment_seq,
   if (fd_ < 0) sys_fail("wal: open " + path.string());
   segment_seq_ = segment_seq;
   segment_written_ = 0;
-  unsynced_bytes_ = 0;
+  synced_through_ = bytes_appended_;
 
   std::vector<std::uint8_t> header;
   BinaryWriter w(header);
@@ -301,7 +293,6 @@ std::uint64_t WalWriter::append(WalRecord record) {
   write_all(frame.data(), frame.size());
   segment_written_ += frame.size();
   bytes_appended_ += frame.size();
-  unsynced_bytes_ += frame.size();
   ++records_appended_;
   if (auto_fsync_) {
     switch (policy_) {
@@ -309,7 +300,7 @@ std::uint64_t WalWriter::append(WalRecord record) {
         fsync_fd();
         break;
       case FsyncPolicy::kInterval:
-        if (unsynced_bytes_ >= fsync_interval_bytes_) fsync_fd();
+        if (unsynced_bytes() >= fsync_interval_bytes_) fsync_fd();
         break;
       case FsyncPolicy::kNone:
         break;
@@ -319,7 +310,38 @@ std::uint64_t WalWriter::append(WalRecord record) {
 }
 
 void WalWriter::sync() {
-  if (fd_ >= 0 && unsynced_bytes_ > 0) fsync_fd();
+  if (fd_ >= 0 && unsynced_bytes() > 0) fsync_fd();
+}
+
+WalWriter::SyncTicket WalWriter::begin_sync() {
+  SyncTicket ticket;
+  ticket.last_record_seq = last_record_seq();
+  ticket.appended = bytes_appended_;
+  if (fd_ >= 0 && unsynced_bytes() > 0) {
+    // A dup stays valid if a rotation closes fd_ before the fsync runs; the
+    // records it covers are then also synced by that close().
+    ticket.fd = ::dup(fd_);
+    if (ticket.fd < 0) sys_fail("wal: dup");
+  }
+  return ticket;
+}
+
+void WalWriter::sync_ticket(const SyncTicket& ticket) {
+  const int rc = ::fsync(ticket.fd);
+  const int err = errno;
+  ::close(ticket.fd);
+  if (rc != 0) {
+    errno = err;
+    sys_fail("wal: fsync");
+  }
+}
+
+void WalWriter::end_sync(const SyncTicket& ticket) {
+  // Clear only what the fsync covered: appends that landed after
+  // begin_sync() stay unsynced. bytes_appended_ only grows and a rotation
+  // moves synced_through_ to it, so max() is exact across segments.
+  synced_through_ = std::max(synced_through_, ticket.appended);
+  ++fsyncs_;
 }
 
 void WalWriter::close() {
@@ -328,7 +350,7 @@ void WalWriter::close() {
   // (and group-commit mode, which defers per-record fsyncs) can leave
   // unsynced records in the outgoing segment, and sync() after rotation
   // only reaches the NEW fd.
-  if (unsynced_bytes_ > 0 && policy_ != FsyncPolicy::kNone) fsync_fd();
+  if (unsynced_bytes() > 0 && policy_ != FsyncPolicy::kNone) fsync_fd();
   ::close(fd_);
   fd_ = -1;
 }
@@ -347,7 +369,7 @@ void WalWriter::write_all(const std::uint8_t* data, std::size_t len) {
 
 void WalWriter::fsync_fd() {
   if (::fsync(fd_) != 0) sys_fail("wal: fsync");
-  unsynced_bytes_ = 0;
+  synced_through_ = bytes_appended_;
   ++fsyncs_;
 }
 

@@ -126,6 +126,22 @@ class WalWriter {
   /// Force everything appended so far to stable storage.
   void sync();
 
+  /// A covering fsync split in three, so that a group-commit committer can
+  /// fsync while the store thread keeps appending: begin_sync() and
+  /// end_sync() run under the lock that serializes appends, sync_ticket()
+  /// between them without it. A ticket whose fd is -1 has nothing to
+  /// fsync; skip the other two steps.
+  struct SyncTicket {
+    int fd = -1;  ///< dup of the segment fd; -1 when nothing was unsynced
+    std::uint64_t last_record_seq = 0;  ///< highest seq the fsync covers
+    std::uint64_t appended = 0;         ///< bytes_appended() at begin_sync
+  };
+  SyncTicket begin_sync();
+  /// fsync and close the ticket's fd; throws std::runtime_error on failure.
+  static void sync_ticket(const SyncTicket& ticket);
+  /// Count the fsync and mark the bytes it covered as synced.
+  void end_sync(const SyncTicket& ticket);
+
   /// Close the current segment. When the policy promises durability
   /// (kInterval/kAlways) any unsynced bytes are fsynced first — a rotation
   /// must never orphan records the policy said were safe.
@@ -151,6 +167,9 @@ class WalWriter {
  private:
   void write_all(const std::uint8_t* data, std::size_t len);
   void fsync_fd();
+  std::uint64_t unsynced_bytes() const {
+    return bytes_appended_ - synced_through_;
+  }
 
   std::filesystem::path dir_;
   FsyncPolicy policy_;
@@ -161,7 +180,9 @@ class WalWriter {
   std::uint64_t segment_seq_ = 0;
   std::uint64_t next_record_seq_ = 1;
   std::uint64_t segment_written_ = 0;    ///< bytes in the current segment
-  std::uint64_t unsynced_bytes_ = 0;     ///< since the last fsync
+  /// bytes_appended_ as of the last fsync (or rotation) of the current
+  /// segment; everything after it is unsynced.
+  std::uint64_t synced_through_ = 0;
   std::uint64_t records_appended_ = 0;
   std::uint64_t bytes_appended_ = 0;
   std::uint64_t fsyncs_ = 0;

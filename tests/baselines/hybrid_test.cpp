@@ -89,11 +89,21 @@ TEST(Hybrid, ConversionCapRespected) {
 }
 
 TEST(Hybrid, HeatFoldingHappensOnEpoch) {
+  // Eq 1, p_k = p_{k-1}/2 + w_k, advances once per epoch, with or without
+  // writes, and whether or not the policy converts the object. The policy's
+  // epochs leave the fold to heat(): p_{e-1} plus the writes seen so far in
+  // epoch e.
   Fixture f;
-  f.store.put(4, 8192, 0);
   HybridRepEcPolicy policy(f.store, f.opts);
-  policy.on_epoch(5);
-  EXPECT_EQ(f.table.get(4)->heat_epoch, 5u);
+  const std::uint32_t writes[] = {2, 0, 3, 1, 0, 0, 0, 5};
+  double folded = 0.0;  // p_{e-1}
+  for (Epoch e = 0; e < std::size(writes); ++e) {
+    if (e > 0) policy.on_epoch(e);
+    for (std::uint32_t i = 0; i < writes[e]; ++i) f.store.put(4, 8192, e);
+    EXPECT_EQ(f.table.get(4)->heat(e), folded + writes[e]) << "epoch " << e;
+    folded = folded / 2.0 + writes[e];
+  }
+  EXPECT_EQ(f.table.get(4)->state, meta::RedState::kEc);  // went cold
 }
 
 }  // namespace

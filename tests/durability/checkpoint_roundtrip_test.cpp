@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "core/chameleon.hpp"
 #include "fault/digest.hpp"
 
@@ -191,6 +192,36 @@ TEST(CheckpointRoundTrip, NonFreshTargetIsRejected) {
   dirty.put(1, 4096, kMinute);  // already has state: loading would mix worlds
   EXPECT_THROW(load_checkpoint(checkpoint_path(dir.path, 1), dirty),
                std::runtime_error);
+}
+
+TEST(CheckpointFiles, BytesMatchTheRecordedFormat) {
+  // A fixed system's checkpoint file, hashed. The constant was recorded with
+  // the earlier writer, which built the whole file in memory, so the
+  // streamed writer must reproduce the format byte for byte. About 4 MiB of
+  // payload fragments make the fragment section span several of the
+  // writer's 1 MiB flushes.
+  TempDir dir;
+  Chameleon sys(small_config());
+  drive_workload(sys);
+  for (int i = 0; i < 96; ++i) {
+    std::vector<std::uint8_t> value(32 * kKiB);
+    for (std::size_t j = 0; j < value.size(); ++j) {
+      value[j] = static_cast<std::uint8_t>(static_cast<std::size_t>(i) * 131 +
+                                           j * 7 + (j >> 9));
+    }
+    sys.client().put("bulk-" + std::to_string(i), value);
+  }
+  save_checkpoint(dir.path, 9, sys, /*wal_segment_seq=*/4,
+                  /*next_record_seq=*/321);
+
+  std::vector<char> bytes;
+  {
+    std::ifstream in(checkpoint_path(dir.path, 9), std::ios::binary);
+    bytes.assign((std::istreambuf_iterator<char>(in)),
+                 std::istreambuf_iterator<char>());
+  }
+  EXPECT_GT(bytes.size(), 3 * kMiB);
+  EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), 0x73171d9c012954e5ULL);
 }
 
 TEST(CheckpointFiles, ListedInSequenceOrder) {

@@ -14,10 +14,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -187,6 +191,96 @@ TEST(GroupCommit, ConcurrentTcpWritersAreGatedAndShareFsyncs) {
   GroupCommit* gc = manager.group_commit();
   EXPECT_GE(gc->commits(), acked.load());
   EXPECT_LE(gc->groups(), gc->commits());
+}
+
+TEST(GroupCommit, AppendsAndGetsProceedWhileTheGroupFsyncIsHeld) {
+  TempDir dir;
+  // The hook's state outlives the manager: teardown runs a final group.
+  std::mutex hook_mutex;
+  std::condition_variable hook_cv;
+  bool held = false;
+  bool released = false;
+  const auto release = [&] {
+    std::lock_guard<std::mutex> lock(hook_mutex);
+    released = true;
+    hook_cv.notify_all();
+  };
+
+  core::Chameleon system(small_system());
+  Manager manager(system, group_commit_in(dir.path));
+  manager.open();
+  svc::ServerConfig server_config;
+  server_config.epoch_every_ops = 0;
+  svc::Server server(system, server_config);
+  server.set_group_commit(manager.group_commit());
+  server.start();
+  svc::ClientConfig cfg;
+  cfg.port = server.port();
+
+  const std::vector<std::uint8_t> value = value_for(3);
+  svc::ClientPool reader(cfg, 1);
+  ASSERT_EQ(reader.put("before", value), svc::Status::kOk);
+
+  // From here the committer stops inside its next group fsync, after it
+  // has taken the seq it covers and before the fsync, until released.
+  manager.set_sync_hook_for_test([&] {
+    std::unique_lock<std::mutex> lock(hook_mutex);
+    held = true;
+    hook_cv.notify_all();
+    hook_cv.wait(lock, [&] { return released; });
+  });
+  const std::uint64_t fsyncs_before = manager.wal().fsyncs();
+
+  auto first = std::async(std::launch::async, [&] {
+    svc::ClientPool pool(cfg, 1);
+    return pool.put("first", value);
+  });
+  bool was_held = false;
+  {
+    std::unique_lock<std::mutex> lock(hook_mutex);
+    was_held = hook_cv.wait_for(lock, std::chrono::seconds(10),
+                                [&] { return held; });
+  }
+  if (!was_held) {
+    release();  // let `first` finish before its future is destroyed
+    FAIL() << "the committer never reached its group fsync";
+  }
+  const std::uint64_t held_seq = manager.last_appended_seq();
+
+  // A second write appends while the fsync is held (its ack still waits
+  // for a group), and a GET is answered.
+  auto second = std::async(std::launch::async, [&] {
+    svc::ClientPool pool(cfg, 1);
+    return pool.put("second", value);
+  });
+  auto read = std::async(std::launch::async, [&] {
+    std::vector<std::uint8_t> got;
+    return reader.get("before", got) == svc::Status::kOk && got == value;
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (manager.last_appended_seq() == held_seq &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool appended = manager.last_appended_seq() > held_seq;
+  const bool read_done =
+      read.wait_until(deadline) == std::future_status::ready;
+  const bool first_pending =
+      first.wait_for(std::chrono::seconds(0)) == std::future_status::timeout;
+  release();
+
+  EXPECT_TRUE(appended) << "an append waited for the group fsync";
+  EXPECT_TRUE(read_done) << "a GET waited for the group fsync";
+  EXPECT_TRUE(first_pending) << "a PUT was acked before its fsync";
+  EXPECT_TRUE(read.get());
+  EXPECT_EQ(first.get(), svc::Status::kOk);
+  EXPECT_EQ(second.get(), svc::Status::kOk);
+  server.stop();
+  manager.set_sync_hook_for_test(nullptr);
+  // The held group's fsync counts, and it did not cover the second PUT's
+  // record, so that PUT's ack took a group fsync of its own.
+  EXPECT_EQ(manager.wal().fsyncs(), fsyncs_before + 2);
 }
 
 TEST(GroupCommit, Kill9BeforeGroupFsyncReplaysDigestExact) {

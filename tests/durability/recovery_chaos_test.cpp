@@ -314,15 +314,28 @@ TEST(Recovery, EmitsMetricsAndTraceEvents) {
   Manager manager(sys, durable_in(dir.path));
   manager.open();
 
-  bool saw_replayed = false, saw_duration = false, saw_checkpoints = false;
+  bool saw_replayed = false, saw_duration = false, saw_checkpoints = false,
+       saw_checkpoint_seconds = false;
+  double checkpoint_bytes = 0.0;
   for (const auto& sample : obs::metrics().snapshot()) {
     saw_replayed |= sample.name == "chameleon_recovery_replayed_records_total";
     saw_duration |= sample.name == "chameleon_recovery_duration_seconds";
     saw_checkpoints |= sample.name == "chameleon_checkpoints_total";
+    saw_checkpoint_seconds |= sample.name == "chameleon_checkpoint_seconds";
+    if (sample.name == "chameleon_checkpoint_bytes") {
+      checkpoint_bytes = sample.value;
+    }
   }
   EXPECT_TRUE(saw_replayed);
   EXPECT_TRUE(saw_duration);
   EXPECT_TRUE(saw_checkpoints);
+  EXPECT_TRUE(saw_checkpoint_seconds);
+  // The bytes gauge is the size of the checkpoint open() just wrote.
+  const auto checkpoints = list_checkpoints(dir.path);
+  EXPECT_EQ(checkpoint_bytes,
+            checkpoints.empty()
+                ? -1.0
+                : static_cast<double>(fs::file_size(checkpoints.back())));
 
   bool saw_start = false, saw_replay = false, saw_done = false,
        saw_checkpoint = false;

@@ -228,6 +228,63 @@ TEST(WalWriter, IntervalPolicySyncsByBytes) {
   EXPECT_LT(writer.fsyncs(), baseline + 10);
 }
 
+TEST(WalWriter, DetachedSyncCoversOnlyWhatPrecededIt) {
+  // The group-commit fsync runs between begin_sync() and end_sync(). A
+  // record appended in that window is not covered: it must stay unsynced,
+  // so the next covering sync still fsyncs.
+  TempDir dir;
+  WalWriter writer(dir.path, FsyncPolicy::kAlways, 8 * kMiB, 256 * kKiB);
+  writer.set_auto_fsync(false);
+  writer.open_segment(1, 1);
+  const std::uint64_t baseline = writer.fsyncs();
+  WalRecord r;
+  r.type = WalRecordType::kPutSim;
+  writer.append(r);
+
+  const WalWriter::SyncTicket first = writer.begin_sync();
+  ASSERT_GE(first.fd, 0);
+  EXPECT_EQ(first.last_record_seq, 1u);
+  writer.append(r);  // lands while the fsync is in flight
+  WalWriter::sync_ticket(first);
+  writer.end_sync(first);
+  EXPECT_EQ(writer.fsyncs(), baseline + 1);
+
+  const WalWriter::SyncTicket second = writer.begin_sync();
+  ASSERT_GE(second.fd, 0) << "the in-flight append was marked synced";
+  EXPECT_EQ(second.last_record_seq, 2u);
+  WalWriter::sync_ticket(second);
+  writer.end_sync(second);
+  EXPECT_EQ(writer.fsyncs(), baseline + 2);
+
+  // Everything is covered now: nothing to fsync.
+  EXPECT_LT(writer.begin_sync().fd, 0);
+}
+
+TEST(WalWriter, DetachedSyncSurvivesRotation) {
+  // A rotation between begin_sync() and the fsync closes the segment fd;
+  // the ticket's dup keeps the old segment open, and the close() already
+  // synced it, so the new segment's records stay unsynced.
+  TempDir dir;
+  WalWriter writer(dir.path, FsyncPolicy::kAlways, 64, 256 * kKiB);
+  writer.set_auto_fsync(false);
+  writer.open_segment(1, 1);
+  WalRecord r;
+  r.type = WalRecordType::kPutSim;
+  writer.append(r);
+  writer.append(r);
+  const WalWriter::SyncTicket ticket = writer.begin_sync();
+  ASSERT_GE(ticket.fd, 0);
+  writer.append(r);  // over the 64-byte cap: rotates first
+  ASSERT_EQ(writer.rotations(), 1u);
+  WalWriter::sync_ticket(ticket);
+  writer.end_sync(ticket);
+  const WalWriter::SyncTicket next = writer.begin_sync();
+  EXPECT_GE(next.fd, 0);
+  EXPECT_EQ(next.last_record_seq, 3u);
+  WalWriter::sync_ticket(next);
+  writer.end_sync(next);
+}
+
 TEST(WalReplay, TornFinalRecordTruncatesInsteadOfThrowing) {
   TempDir dir;
   {
