@@ -26,7 +26,7 @@ OpResult Client::put(std::string_view key, std::span<const std::uint8_t> value,
   const OpResult result = store_.put_value(oid, value, now);
   // Redo-log: the mutation applied; make it durable before acknowledging.
   // The WAL append+fsync reports into the serving span's wal_fsync stage
-  // via the thread-local bucket (the svc worker carves it out of store
+  // via the thread-local bucket (the svc coordinator carves it out of store
   // exec); a no-op when observability is off or no journal is attached.
   if (journal_ != nullptr) {
     obs::SpanStageScope wal_scope(obs::SvcStage::kWalFsync);

@@ -13,7 +13,7 @@
 // asserting the disabled path makes zero clock reads.
 //
 // Sub-stages recorded deep in the stack (the WAL append+fsync inside a
-// journaled PUT happens under kv::Client, far below the svc worker that
+// journaled PUT happens under kv::Client, far below the svc coordinator that
 // owns the span) report through a thread-local accumulator: the low layer
 // times itself with SpanStageScope, the span owner takes the accumulated
 // nanoseconds with span_tls_take() and carve()s them out of the enclosing
@@ -32,10 +32,10 @@ namespace chameleon::obs {
 enum class SvcStage : std::uint8_t {
   kDecode = 0,   ///< frame extraction/validation from buffered socket bytes
   kAdmission,    ///< fault rolls + admission-control decision
-  kQueue,        ///< admitted -> a worker thread picked the request up
-  kStoreExec,    ///< KvStore/Chameleon execution under the store mutex
+  kQueue,        ///< admitted -> the store coordinator picked it up
+  kStoreExec,    ///< KvStore/Chameleon execution on the store coordinator
   kWalFsync,     ///< WAL append + fsync sub-stage (carved out of store exec)
-  kCompletion,   ///< worker done -> IO thread drained the completion
+  kCompletion,   ///< coordinator done -> IO thread drained the completion
   kFlush,        ///< response enqueue + socket flush attempt
   kCount
 };

@@ -16,7 +16,6 @@
 #include <utility>
 
 #include "common/faults.hpp"
-#include "common/fnv.hpp"
 
 namespace chameleon::svc {
 
@@ -160,76 +159,7 @@ Frame ClientConn::call(Op op, std::vector<std::uint8_t> payload,
 ClientPool::ClientPool(const ClientConfig& config, std::size_t size)
     : config_(config),
       size_(std::max<std::size_t>(1, size)),
-      jitter_rng_(config.retry.seed) {
-  if (config_.endpoints.empty()) return;
-  // Multi-endpoint mode: one inner single-endpoint pool per endpoint plus a
-  // routing ring over the endpoint node ids. The inner pools inherit every
-  // knob except the endpoint list itself.
-  ring_ = std::make_unique<cluster::HashRing>(
-      0, std::max<std::uint32_t>(1, config_.ring_vnodes));
-  for (const Endpoint& ep : config_.endpoints) {
-    if (ring_->contains(ep.node_id)) {
-      throw std::invalid_argument(
-          "svc client: duplicate endpoint node id " +
-          std::to_string(ep.node_id));
-    }
-    ClientConfig inner = config_;
-    inner.endpoints.clear();
-    inner.host = ep.host;
-    inner.port = ep.port;
-    members_.push_back(std::make_unique<ClientPool>(inner, size));
-    member_node_ids_.push_back(ep.node_id);
-    ring_->add_server(ep.node_id);
-  }
-}
-
-std::vector<std::size_t> ClientPool::route_order(std::string_view key) const {
-  // Ring-successor preference order of the key, translated from node ids
-  // back to member indices. The ring is static for the pool's lifetime, so
-  // the same key always walks endpoints in the same order — which is what
-  // makes "the next replica-holding node" well-defined on failover.
-  const std::vector<ServerId> ids =
-      ring_->successors(cluster::key_point(key), members_.size());
-  std::vector<std::size_t> order;
-  order.reserve(ids.size());
-  for (const ServerId id : ids) {
-    for (std::size_t i = 0; i < member_node_ids_.size(); ++i) {
-      if (member_node_ids_[i] == id) {
-        order.push_back(i);
-        break;
-      }
-    }
-  }
-  return order;
-}
-
-template <typename Fn>
-Status ClientPool::with_failover(std::string_view key, Fn&& op) {
-  const std::vector<std::size_t> order = route_order(key);
-  bool saw_not_found = false;
-  std::exception_ptr last_error;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (i > 0) failovers_.fetch_add(1, std::memory_order_relaxed);
-    try {
-      const Status s = op(*members_[order[i]]);
-      // kNotFound keeps walking: the first-choice endpoint may have missed
-      // the write this pool is looking for, but a later replica holder may
-      // have it. Everything else is a terminal answer from the cluster.
-      if (s == Status::kNotFound) {
-        saw_not_found = true;
-        continue;
-      }
-      return s;
-    } catch (const kv::RetriesExhausted&) {
-      last_error = std::current_exception();
-    } catch (const TransientFault&) {
-      last_error = std::current_exception();
-    }
-  }
-  if (saw_not_found) return Status::kNotFound;
-  if (last_error) std::rethrow_exception(last_error);
-  return Status::kError;  // unreachable: order is never empty
-}
+      jitter_rng_(config.retry.seed) {}
 
 std::unique_ptr<ClientConn> ClientPool::acquire() {
   std::unique_lock lock(mutex_);
@@ -276,9 +206,6 @@ Nanos ClientPool::backoff_for(std::size_t attempt) {
 }
 
 Frame ClientPool::call(Op op, std::vector<std::uint8_t> payload) {
-  // Multi-endpoint mode: non-key ops address the first endpoint. Key-routed
-  // ops never reach here (put/get/remove route before calling).
-  if (!members_.empty()) return members_[0]->call(op, std::move(payload));
   const std::size_t max_attempts = std::max<std::size_t>(1, config_.retry.max_attempts);
   // One id for the whole logical operation: every reconnect-and-replay
   // attempt re-sends the SAME request id, so the server (and anyone reading
@@ -344,9 +271,6 @@ Frame ClientPool::call(Op op, std::vector<std::uint8_t> payload) {
 
 Status ClientPool::put(std::string_view key,
                        std::span<const std::uint8_t> value) {
-  if (!members_.empty()) {
-    return with_failover(key, [&](ClientPool& m) { return m.put(key, value); });
-  }
   std::vector<std::uint8_t> body;
   encode_put_body(key, value, body);
   const Frame response = call(Op::kPut, std::move(body));
@@ -362,10 +286,6 @@ Status ClientPool::put(std::string_view key, std::string_view value) {
 
 Status ClientPool::get(std::string_view key,
                        std::vector<std::uint8_t>& value_out) {
-  if (!members_.empty()) {
-    return with_failover(key,
-                         [&](ClientPool& m) { return m.get(key, value_out); });
-  }
   std::vector<std::uint8_t> body;
   encode_key_body(key, body);
   Frame response = call(Op::kGet, std::move(body));
@@ -374,9 +294,6 @@ Status ClientPool::get(std::string_view key,
 }
 
 Status ClientPool::remove(std::string_view key) {
-  if (!members_.empty()) {
-    return with_failover(key, [&](ClientPool& m) { return m.remove(key); });
-  }
   std::vector<std::uint8_t> body;
   encode_key_body(key, body);
   return call(Op::kDelete, std::move(body)).status;
@@ -403,7 +320,6 @@ std::string ClientPool::health_json() {
   // Single attempt, no retry loop: a health probe must report the server's
   // state *now*, and its caller (wait_serving, the chaos harness) owns the
   // polling cadence.
-  if (!members_.empty()) return members_[0]->health_json();
   auto conn = acquire();
   try {
     Frame response = conn->call(
@@ -418,23 +334,6 @@ std::string ClientPool::health_json() {
 }
 
 bool ClientPool::wait_serving(Nanos timeout, Nanos poll_interval) {
-  if (!members_.empty()) {
-    // Every endpoint must report serving before a multi-endpoint pool is
-    // considered ready: harnesses use this to wait out a whole cluster's
-    // startup. The total budget is shared across endpoints.
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::nanoseconds(timeout);
-    for (auto& member : members_) {
-      const Nanos remaining =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              deadline - std::chrono::steady_clock::now())
-              .count();
-      if (remaining <= 0 || !member->wait_serving(remaining, poll_interval)) {
-        return false;
-      }
-    }
-    return true;
-  }
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::nanoseconds(timeout);
   for (;;) {

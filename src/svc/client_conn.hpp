@@ -18,7 +18,6 @@
 #include <string_view>
 #include <vector>
 
-#include "cluster/hash_ring.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "kv/client.hpp"
@@ -26,24 +25,9 @@
 
 namespace chameleon::svc {
 
-/// One addressable server in a multi-endpoint pool (docs/DISTRIBUTED.md).
-struct Endpoint {
-  std::uint32_t node_id = 0;  ///< ring position; must be unique in the pool
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
-};
-
 struct ClientConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  /// Multi-endpoint mode (ignored when empty): key-routed ops (put/get/
-  /// remove) pick an endpoint by hash-ring successor order of the key and
-  /// fail over to the next endpoint when one is unreachable or, for GET,
-  /// answers kNotFound (the next replica-holding node may have it). host/
-  /// port above are ignored when endpoints are set.
-  std::vector<Endpoint> endpoints;
-  /// Virtual nodes per endpoint on the routing ring.
-  std::uint32_t ring_vnodes = 64;
   /// Backoff/attempt budget, reusing the in-process client's policy type.
   /// op_timeout (when nonzero) becomes the per-call socket send/recv timeout.
   kv::RetryPolicy retry;
@@ -101,14 +85,9 @@ class ClientConn {
 
 /// Thread-safe pool of ClientConns with retry/reconnect. acquire() hands out
 /// idle connections, creating up to `size` of them on demand; callers past
-/// the cap block until a connection is released.
-///
-/// With config.endpoints set (>= 1 entries) the pool becomes a routing tier:
-/// one inner single-endpoint pool per endpoint, key-routed ops walk the
-/// ring's successor order for the key and fail over across endpoints, and
-/// non-key ops (ping/stats/metrics/digest/health/call) address the first
-/// endpoint. Replication itself is the server/router side's job — the pool
-/// only *finds* the data (docs/DISTRIBUTED.md).
+/// the cap block until a connection is released. One pool addresses one
+/// server; a multi-node cluster is addressed through chameleon_router
+/// (docs/DISTRIBUTED.md).
 class ClientPool {
  public:
   ClientPool(const ClientConfig& config, std::size_t size = 4);
@@ -139,8 +118,7 @@ class ClientPool {
   /// Polls HEALTH (reconnecting as needed) every `poll_interval`; survives
   /// the connection-refused window while a killed server restarts. Returns
   /// true once serving. This is how harnesses wait out recovery instead of
-  /// sleeping a guessed duration. Multi-endpoint: true once EVERY endpoint
-  /// reports serving (the harness-startup semantic).
+  /// sleeping a guessed duration.
   bool wait_serving(Nanos timeout, Nanos poll_interval = 20 * kMillisecond);
 
   /// Raw retried call: returns the first non-retryable response.
@@ -149,15 +127,6 @@ class ClientPool {
   std::uint64_t retries_total() const;
   std::uint64_t reconnects_total() const;
   std::uint64_t deadline_exceeded_total() const;
-  /// Multi-endpoint: key-routed ops that moved past the first-choice
-  /// endpoint (unreachable, or GET kNotFound continuing to a replica).
-  std::uint64_t failovers_total() const {
-    return failovers_.load(std::memory_order_relaxed);
-  }
-  /// Multi-endpoint: the inner single-endpoint pool at `index` (the order
-  /// of config.endpoints). Single-endpoint pools have none.
-  std::size_t endpoint_count() const { return members_.size(); }
-  ClientPool& endpoint_pool(std::size_t index) { return *members_[index]; }
   const ClientConfig& config() const { return config_; }
 
  private:
@@ -165,12 +134,6 @@ class ClientPool {
   std::unique_ptr<ClientConn> acquire();
   void release(std::unique_ptr<ClientConn> conn);
   Nanos backoff_for(std::size_t attempt);
-  /// Endpoint indices in ring-successor preference order for `key`.
-  std::vector<std::size_t> route_order(std::string_view key) const;
-  /// Run `op` against each endpoint in `order` until one yields a terminal
-  /// answer; counts failovers past index 0.
-  template <typename Fn>
-  Status with_failover(std::string_view key, Fn&& op);
 
   ClientConfig config_;
   std::size_t size_;
@@ -186,12 +149,6 @@ class ClientPool {
   /// Pool-level id source: a logical operation draws one id here and keeps
   /// it across every retry/reconnect/replay attempt (idempotent failover).
   std::atomic<std::uint64_t> next_request_id_{1};
-
-  // Multi-endpoint mode (empty/unused otherwise).
-  std::vector<std::unique_ptr<ClientPool>> members_;  ///< one per endpoint
-  std::unique_ptr<cluster::HashRing> ring_;
-  std::vector<std::uint32_t> member_node_ids_;  ///< index -> node id
-  std::atomic<std::uint64_t> failovers_{0};
 };
 
 }  // namespace chameleon::svc

@@ -49,7 +49,7 @@ Nanos elapsed_ns(std::chrono::steady_clock::time_point from,
 
 bool is_data_op(Op op) {
   // Peer store ops (kReplicate/kStripeWrite) and the wear snapshot ride the
-  // same admission/deadline/store-backend path as client data ops; kPlace
+  // same admission/deadline/store-pipeline path as client data ops; kPlace
   // and kPeerHealth are pure membership reads answered inline like kHealth.
   return op == Op::kGet || op == Op::kPut || op == Op::kDelete ||
          op == Op::kDigest || op == Op::kReplicate || op == Op::kStripeWrite ||
@@ -67,23 +67,12 @@ const char* serving_state_name(ServingState s) {
   return "unknown";
 }
 
-const char* store_mode_name(StoreMode mode) {
-  switch (mode) {
-    case StoreMode::kMutex: return "mutex";
-    case StoreMode::kSharded: return "sharded";
-  }
-  return "unknown";
-}
-
-StoreMode store_mode_from_name(const std::string& name) {
-  if (name == "mutex") return StoreMode::kMutex;
-  if (name == "sharded") return StoreMode::kSharded;
-  throw std::invalid_argument("svc: unknown store mode '" + name +
-                              "' (expected mutex|sharded)");
-}
-
 Server::Server(core::Chameleon& system, const ServerConfig& config)
-    : system_(system), config_(config), admission_(config.admission) {
+    : system_(system),
+      config_(config),
+      pipeline_(system, StorePipelineOptions{config.workers,
+                                             config.drain_batch}),
+      admission_(config.admission) {
   for (auto& fd : wake_fds_) fd.store(-1, std::memory_order_relaxed);
   if (obs::enabled()) {
     auto& reg = obs::metrics();
@@ -243,17 +232,7 @@ void Server::start() {
     throw;
   }
 
-  if (config_.store_mode == StoreMode::kSharded) {
-    StorePipelineOptions opts;
-    opts.workers = std::max(1u, config_.workers);
-    opts.drain_batch = std::max(1u, config_.drain_batch);
-    pipeline_ = std::make_unique<StorePipeline>(system_, opts);
-    pipeline_->start();
-    pool_.reset();
-  } else {
-    pipeline_.reset();
-    pool_ = std::make_unique<ThreadPool>(std::max(1u, config_.workers));
-  }
+  pipeline_.start();
 
   stop_requested_.store(false, std::memory_order_release);
   drained_clean_.store(false, std::memory_order_relaxed);
@@ -297,12 +276,10 @@ void Server::wait() {
   for (auto& rp : reactors_) {
     if (rp->thread.joinable()) rp->thread.join();
   }
-  // Stop the store backends next: queued jobs still execute (the pool
-  // destructor and pipeline stop drain their queues) and may post
-  // completions or register group-commit waiters, so the reactor structures
-  // they post into must still exist.
-  pool_.reset();
-  if (pipeline_) pipeline_->stop();
+  // Stop the store pipeline next: queued jobs still execute (stop() drains
+  // the queue) and may post completions or register group-commit waiters,
+  // so the reactor structures they post into must still exist.
+  pipeline_.stop();
   // Group-commit barrier: once wait_durable(appended_seq()) returns, every
   // ack continuation registered by the serving path has already fired
   // (committer fires callbacks before advancing durable_seq_), so nothing
@@ -384,11 +361,9 @@ ServerStats Server::stats() const {
       deadline_exceeded_total_.load(std::memory_order_relaxed);
   s.durable_gated_total =
       durable_gated_total_.load(std::memory_order_relaxed);
-  if (pipeline_) {
-    s.pipeline_jobs_total = pipeline_->jobs_executed();
-    s.pipeline_drains_total = pipeline_->drains();
-    s.pipeline_bypass_windows_total = pipeline_->bypass_windows();
-  }
+  s.pipeline_jobs_total = pipeline_.jobs_executed();
+  s.pipeline_drains_total = pipeline_.drains();
+  s.pipeline_bypass_windows_total = pipeline_.bypass_windows();
   s.state = state();
   s.trace_dropped = obs::trace().dropped();
   s.uptime_seconds =
@@ -672,19 +647,15 @@ bool Server::handle_frame(Reactor& r, const std::shared_ptr<Session>& session,
               seed = std::move(seed)]() mutable {
     run_request(std::move(request), stall, std::move(seed));
   };
-  if (pipeline_) {
-    pipeline_->submit(std::move(job));
-  } else {
-    pool_->submit(std::move(job));
-  }
+  pipeline_.submit(std::move(job));
   return true;
 }
 
 void Server::run_request(Frame request, Nanos stall, Completion seed) {
   if (stall > 0) {
-    // An injected stall sleeps right here on the store backend — on the
-    // coordinator in sharded mode that delays everything behind it, which
-    // is exactly the head-of-line pathology the chaos runs want to model.
+    // An injected stall sleeps right here on the coordinator, which delays
+    // everything behind it: exactly the head-of-line pathology the chaos
+    // runs want to model.
     std::this_thread::sleep_for(std::chrono::nanoseconds(stall));
   }
   // Everything since the admission stamp was time on the store queue. An
@@ -718,8 +689,8 @@ void Server::run_request(Frame request, Nanos stall, Completion seed) {
                   wal_ns);
 
   // Group-commit gate: a journaled mutation is acked only once its WAL
-  // records are fsynced. appended_seq() read here runs under the store's
-  // serialization domain, so it is >= every seq this op appended; gating on
+  // records are fsynced. appended_seq() read here runs on the coordinator,
+  // the WAL's only appender, so it is >= every seq this op appended; gating on
   // it can only delay the ack, never release it early.
   auto* gc = group_commit_.load(std::memory_order_acquire);
   const bool journaled =
@@ -790,10 +761,8 @@ Frame Server::control_response(const Frame& request) {
 
 Frame Server::execute(const Frame& request) {
   Frame resp{request.op, Status::kOk, request.request_id, {}};
-  // kMutex: every store touch happens under store_mutex_. kSharded: this
-  // already runs on the pipeline coordinator — the store's single logical
-  // owner — so no lock exists at all.
-  const bool mutex_mode = pipeline_ == nullptr;
+  // Runs on the pipeline coordinator, the store's single logical owner, so
+  // no lock exists at all.
   try {
     switch (request.op) {
       case Op::kGet: {
@@ -802,8 +771,6 @@ Frame Server::execute(const Frame& request) {
           resp.status = Status::kBadRequest;
           break;
         }
-        std::unique_lock<std::mutex> lock(store_mutex_, std::defer_lock);
-        if (mutex_mode) lock.lock();
         if (!system_.client().contains(key)) {
           resp.status = Status::kNotFound;
           break;
@@ -817,8 +784,6 @@ Frame Server::execute(const Frame& request) {
           resp.status = Status::kBadRequest;
           break;
         }
-        std::unique_lock<std::mutex> lock(store_mutex_, std::defer_lock);
-        if (mutex_mode) lock.lock();
         system_.client().put(
             body.key,
             std::span<const std::uint8_t>(body.value.data(),
@@ -833,8 +798,6 @@ Frame Server::execute(const Frame& request) {
           resp.status = Status::kBadRequest;
           break;
         }
-        std::unique_lock<std::mutex> lock(store_mutex_, std::defer_lock);
-        if (mutex_mode) lock.lock();
         resp.status = system_.client().remove(key) ? Status::kOk
                                                    : Status::kNotFound;
         break;
@@ -842,22 +805,16 @@ Frame Server::execute(const Frame& request) {
       case Op::kDigest: {
         // Whole-cluster state fingerprint, taken as a consistent
         // point-in-time value. Crash-recovery CI compares this across a
-        // kill -9 restart, and the equivalence suite compares it across
-        // store backends — in sharded mode the bypass window's drain fence
-        // is what makes the snapshot consistent.
-        const auto compute = [&] {
+        // kill -9 restart, and the equivalence suite compares it against a
+        // sequential replay; the bypass window's drain fence is what makes
+        // the snapshot consistent.
+        pipeline_.bypass_inline([&] {
           const std::uint64_t digest = fault::cluster_digest(system_.store());
           char hex[17];
           std::snprintf(hex, sizeof(hex), "%016llx",
                         static_cast<unsigned long long>(digest));
           resp.payload.assign(hex, hex + 16);
-        };
-        if (pipeline_) {
-          pipeline_->bypass_inline(compute);
-        } else {
-          std::lock_guard lock(store_mutex_);
-          compute();
-        }
+        });
         break;
       }
       case Op::kReplicate: {
@@ -866,9 +823,8 @@ Frame Server::execute(const Frame& request) {
         // Same-key fan-outs from the router race unserialized across nodes,
         // so without the version gate two concurrent PUTs could leave one
         // node on v1 and another on v2 forever — and reads only mask that
-        // while the node holding v2 is live. The whole case runs under the
-        // store's serialization domain (store_mutex_ or the pipeline
-        // coordinator), so the read-compare-put is atomic.
+        // while the node holding v2 is live. The whole case runs on the
+        // pipeline coordinator, so the read-compare-put is atomic.
         ReplicateBody body;
         if (!decode_replicate_body(request.payload, body)) {
           resp.status = Status::kBadRequest;
@@ -879,8 +835,6 @@ Frame Server::execute(const Frame& request) {
           resp.status = Status::kBadRequest;
           break;
         }
-        std::unique_lock<std::mutex> lock(store_mutex_, std::defer_lock);
-        if (mutex_mode) lock.lock();
         if (system_.client().contains(body.key)) {
           ReplicaBlob stored;
           if (decode_replica_blob(
@@ -914,8 +868,6 @@ Frame Server::execute(const Frame& request) {
                                                         body.shard.size()),
                           blob);
         const std::string skey = shard_key(body.key, body.meta.index);
-        std::unique_lock<std::mutex> lock(store_mutex_, std::defer_lock);
-        if (mutex_mode) lock.lock();
         // Newest-wins, for the same reason as kReplicate: racing same-key
         // fan-outs must converge on the highest version at every node.
         if (system_.client().contains(skey)) {
@@ -940,9 +892,9 @@ Frame Server::execute(const Frame& request) {
           break;
         }
         // Consistent point-in-time wear snapshot: like kDigest, the erase
-        // counters live in FTL state that shard threads mutate, so sharded
-        // mode reads them inside a drain-fenced bypass window.
-        const auto compute = [&] {
+        // counters live in FTL state that shard threads mutate, so they are
+        // read inside a drain-fenced bypass window.
+        pipeline_.bypass_inline([&] {
           WearReportBody body;
           body.node_id = config_.node_id;
           body.epoch = system_.current_epoch();
@@ -951,13 +903,7 @@ Frame Server::execute(const Frame& request) {
             body.total_erases += e;
           }
           encode_wear_report_body(body, resp.payload);
-        };
-        if (pipeline_) {
-          pipeline_->bypass_inline(compute);
-        } else {
-          std::lock_guard lock(store_mutex_);
-          compute();
-        }
+        });
         break;
       }
       default:
@@ -983,18 +929,13 @@ void Server::maybe_tick_epoch() {
   if (config_.epoch_every_ops == 0) return;
   if (++ops_since_epoch_ < config_.epoch_every_ops) return;
   ops_since_epoch_ = 0;
-  const auto tick = [this] {
+  // Inline bypass window, not a queued job: the tick must land exactly
+  // after the Nth data op, with that op's device work drained, as it does in
+  // a sequential run — not drift behind ops that were already queued.
+  pipeline_.bypass_inline([this] {
     system_.advance_time(system_.now() + system_.config().epoch_length);
     epoch_cache_.store(system_.current_epoch(), std::memory_order_relaxed);
-  };
-  if (pipeline_) {
-    // Inline bypass window, not a queued job: the tick must land exactly
-    // after the Nth data op (as it does under the mutex), not drift behind
-    // ops that were already queued.
-    pipeline_->bypass_inline(tick);
-  } else {
-    tick();
-  }
+  });
 }
 
 void Server::post_completion(Completion&& c) {
@@ -1167,9 +1108,6 @@ std::string Server::stats_json() const {
   field("shed_global_total", admission_.shed_global_total());
   field("shed_deadline_total", admission_.shed_deadline_total());
   field("deadline_exceeded_total", s.deadline_exceeded_total);
-  out += ",\"store_mode\":\"";
-  out += store_mode_name(config_.store_mode);
-  out += '"';
   field("node_id", config_.node_id);
   field("reactors", reactor_count_.load(std::memory_order_relaxed));
   field("pipeline_jobs_total", s.pipeline_jobs_total);
@@ -1243,9 +1181,6 @@ std::string Server::health_json() const {
   out += serving_state_name(st);
   out += "\",\"serving\":";
   out += st == ServingState::kServing ? "true" : "false";
-  out += ",\"store_mode\":\"";
-  out += store_mode_name(config_.store_mode);
-  out += '"';
   out += ",\"node_id\":";
   out += std::to_string(config_.node_id);
   out += ",\"uptime_seconds\":";

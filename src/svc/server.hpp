@@ -1,16 +1,11 @@
 // Epoll-based reactor server for the Chameleon KV cluster over the svc wire
 // protocol (docs/SERVICE.md). One or more IO (reactor) threads own the
-// sockets and session state; admitted data ops execute on one of two store
-// backends:
-//
-//   StoreMode::kSharded (default) — a StorePipeline coordinator thread owns
-//   every core::Chameleon call (no store mutex exists) and fans per-device
-//   flash work out to sim::ShardExecutor shard threads; balancer epochs and
-//   DIGEST run in bypass windows behind drain fences (docs/PARALLELISM.md).
-//
-//   StoreMode::kMutex — the historical backend: a worker ThreadPool executes
-//   ops behind one coordinator mutex. Kept as the oracle the sharded path is
-//   digest-equivalence-tested against.
+// sockets and session state; admitted data ops execute on a StorePipeline:
+// one coordinator thread owns every core::Chameleon call (no store mutex
+// exists) and fans per-device flash work out to sim::ShardExecutor shard
+// threads. Balancer epochs and DIGEST run in bypass windows behind drain
+// fences, so a single connection's op stream lands on exactly the state the
+// sequential core::Chameleon reaches (docs/PARALLELISM.md).
 //
 // With config.reactors > 1 each reactor owns its own epoll set, wake fd,
 // accept socket (SO_REUSEPORT — the kernel spreads connections), session
@@ -38,7 +33,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "common/types.hpp"
 #include "core/chameleon.hpp"
 #include "obs/span.hpp"
@@ -91,12 +85,6 @@ struct SlowRequestConfig {
 enum class ServingState : std::uint8_t { kRecovering, kServing, kDraining };
 const char* serving_state_name(ServingState s);
 
-/// Which backend executes admitted data ops (see the file comment).
-enum class StoreMode : std::uint8_t { kMutex, kSharded };
-const char* store_mode_name(StoreMode mode);
-/// Parse "mutex"/"sharded"; throws std::invalid_argument otherwise.
-StoreMode store_mode_from_name(const std::string& name);
-
 /// Recovery facts a durable boot hands the server (chameleon_server does
 /// this after durability::Manager::open()) so restarts are observable over
 /// the wire: both STATS and HEALTH carry these fields.
@@ -131,14 +119,12 @@ struct ServerConfig {
   /// This process's node id in a multi-node deployment (docs/DISTRIBUTED.md);
   /// surfaced in STATS/HEALTH and echoed in WEAR_REPORT bodies.
   std::uint32_t node_id = 0;
-  /// kSharded: shard worker threads under the store coordinator.
-  /// kMutex: request-execution ThreadPool threads.
+  /// Shard worker threads under the store coordinator.
   std::uint32_t workers = 2;
-  StoreMode store_mode = StoreMode::kSharded;
   /// IO (reactor) threads. >1 binds one SO_REUSEPORT accept socket per
   /// reactor and partitions sessions across them.
   std::uint32_t reactors = 1;
-  /// kSharded: executor drain cadence (ops between drain fences while busy).
+  /// Executor drain cadence (ops between drain fences while busy).
   std::uint32_t drain_batch = 64;
   /// Start in ServingState::kRecovering: listen and answer control ops
   /// (HEALTH/STATS/PING) immediately, but shed data ops with kRetryLater
@@ -154,8 +140,9 @@ struct ServerConfig {
   /// stop(): maximum real time to wait for in-flight requests and pending
   /// responses before closing sessions anyway.
   Nanos drain_timeout = 5 * kSecond;
-  /// Advance the balancer's virtual clock by one epoch every N executed data
-  /// ops (0 = never), so wear balancing runs under served traffic.
+  /// Advance the balancer's virtual clock by one epoch every N executed
+  /// writes (PUT/REPLICATE/STRIPE_WRITE; 0 = never), so wear balancing runs
+  /// under served traffic.
   std::uint64_t epoch_every_ops = 10'000;
   ServiceFaultPlan faults;
 };
@@ -176,9 +163,8 @@ struct ServerStats {
   std::uint64_t slow_requests_total = 0;  ///< kSvcSlowRequest events recorded
   std::uint64_t trace_dropped = 0;  ///< trace-ring events lost to wraparound
   /// Requests answered kDeadlineExceeded: shed on arrival (deadline already
-  /// lapsed) plus shed at dequeue (deadline lapsed on the worker queue).
+  /// lapsed) plus shed at dequeue (deadline lapsed on the store queue).
   std::uint64_t deadline_exceeded_total = 0;
-  // Sharded store pipeline (zero in kMutex mode).
   std::uint64_t pipeline_jobs_total = 0;
   std::uint64_t pipeline_drains_total = 0;
   std::uint64_t pipeline_bypass_windows_total = 0;
@@ -198,7 +184,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind, listen, spawn the reactor threads and the store backend. Throws
+  /// Bind, listen, spawn the reactor threads and the store pipeline. Throws
   /// std::runtime_error on socket errors.
   void start();
 
@@ -213,7 +199,7 @@ class Server {
   void request_stop() noexcept;
 
   /// Block until every reactor finishes the drain, then stop the store
-  /// backend, flush any durability-gated acks, and release every socket.
+  /// pipeline, flush any durability-gated acks, and release every socket.
   /// Idempotent; safe to call concurrently.
   void wait();
 
@@ -287,14 +273,14 @@ class Server {
     Op op = Op::kPing;
     std::chrono::steady_clock::time_point admitted_at;
     /// Absolute deadline (receipt time + the frame's deadline_ms); the
-    /// store backend sheds instead of executing once this passes.
+    /// coordinator sheds instead of executing once this passes.
     /// time_point::max() when the request carried no deadline.
     std::chrono::steady_clock::time_point deadline;
     std::uint64_t request_bytes = 0;
     std::uint64_t request_id = 0;
     /// Stage attribution, stamped along the way: decode/admission on the IO
-    /// thread, queue/store-exec (with the WAL carve-out) on the store
-    /// backend, completion/flush back on the IO thread. Never touched
+    /// thread, queue/store-exec (with the WAL carve-out) on the
+    /// coordinator, completion/flush back on the IO thread. Never touched
     /// concurrently — ownership moves with the completion through the queue.
     obs::Span span;
   };
@@ -328,10 +314,9 @@ class Server {
   bool handle_frame(Reactor& r, const std::shared_ptr<Session>& session,
                     Frame frame, obs::Span span);
   Frame control_response(const Frame& request);
-  /// The store half of a request: runs under store_mutex_ (kMutex) or on
-  /// the pipeline coordinator (kSharded).
+  /// The store half of a request; runs on the pipeline coordinator.
   Frame execute(const Frame& request);
-  /// Stall/deadline-check/execute/ack-gate body shared by both backends.
+  /// Stall/deadline-check/execute/ack-gate body of one queued data op.
   void run_request(Frame request, Nanos stall, Completion seed);
   void maybe_tick_epoch();
   /// Push a finished completion to its reactor; wakes the reactor's eventfd
@@ -373,11 +358,9 @@ class Server {
   /// mutating when the signal lands. -1 = slot closed.
   std::array<std::atomic<int>, kMaxReactors> wake_fds_;
   std::atomic<std::size_t> reactor_count_{0};
-  /// kMutex backend: request-execution pool + the coordinator mutex.
-  std::unique_ptr<ThreadPool> pool_;
-  std::mutex store_mutex_;
-  /// kSharded backend: coordinator + shard executor (no store mutex).
-  std::unique_ptr<StorePipeline> pipeline_;
+  /// Coordinator + shard executor: the only thread that touches system_
+  /// while the server runs.
+  StorePipeline pipeline_;
   std::mutex lifecycle_mutex_;  ///< serializes wait()/cleanup
 
   AdmissionController admission_;
@@ -385,10 +368,9 @@ class Server {
   std::atomic<durability::GroupCommit*> group_commit_{nullptr};
   std::atomic<PeerHandler*> peer_handler_{nullptr};
 
-  /// Data ops since the last epoch tick; guarded by the active backend's
-  /// serialization domain (store_mutex_ or the coordinator thread).
+  /// Data ops since the last epoch tick; coordinator thread only.
   std::uint64_t ops_since_epoch_ = 0;
-  /// Last epoch observed by the store backend, republished for trace events
+  /// Last epoch observed by the coordinator, republished for trace events
   /// recorded on the IO threads without store access.
   std::atomic<std::uint64_t> epoch_cache_{0};
 

@@ -2,7 +2,7 @@
 // frame decoder for inbound bytes, a chunked pending-output queue with
 // vectored (writev-style) flushing and partial-write handling, and the
 // per-session admission/idle bookkeeping the reactor needs. All mutation
-// happens on the owning reactor's IO thread; worker threads only hold a
+// happens on the owning reactor's IO thread; the store coordinator only holds a
 // shared_ptr so a session outlives any request still executing against it.
 #pragma once
 

@@ -51,15 +51,7 @@ void StorePipeline::stop() {
 void StorePipeline::submit(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(Job{std::move(fn), false});
-  }
-  cv_.notify_one();
-}
-
-void StorePipeline::submit_bypass(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(Job{std::move(fn), true});
+    queue_.push_back(std::move(fn));
   }
   cv_.notify_one();
 }
@@ -87,7 +79,7 @@ void StorePipeline::drain_if_dirty() {
 
 void StorePipeline::coordinator_loop() {
   for (;;) {
-    Job job;
+    std::function<void()> job;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       if (queue_.empty()) {
@@ -104,18 +96,16 @@ void StorePipeline::coordinator_loop() {
       queue_.pop_front();
     }
 
-    if (job.bypass) {
-      // Drain fence, then fully inline — the sequential interleaving for
-      // control-plane work (balancer epoch, digest, membership).
-      bypass_inline(job.fn);
-    } else {
-      if (!engaged_) {
-        executor_->set_bypassed(false);
-        engaged_ = true;
-      }
-      job.fn();
-      if (++since_drain_ >= options_.drain_batch) drain_if_dirty();
+    if (!engaged_) {
+      executor_->set_bypassed(false);
+      engaged_ = true;
     }
+    // Count the job before it runs: a bypass window it opens (an epoch tick
+    // after its PUT) must see the executor dirty and drain this job's own
+    // device work first, even when it is the first job since the last drain.
+    ++since_drain_;
+    job();
+    if (since_drain_ >= options_.drain_batch) drain_if_dirty();
     jobs_executed_.fetch_add(1, std::memory_order_relaxed);
   }
   drain_if_dirty();

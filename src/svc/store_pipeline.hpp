@@ -1,13 +1,15 @@
-// The sharded serving path's store backend: ONE coordinator thread owns
-// every core::Chameleon call (so no global store mutex exists at all), and a
+// The serving path's store backend: ONE coordinator thread owns every
+// core::Chameleon call (so no global store mutex exists at all), and a
 // sim::ShardExecutor fans the per-device flash work of independent servers
-// out to shard worker threads — the PR-4 phase model carried into the live
-// TCP path. Reactor threads submit closed-over requests into an MPSC queue;
-// the coordinator executes their logical plans in arrival order, drains the
-// executor every `drain_batch` jobs (and before going idle), and runs
-// control-plane sections (balancer epochs, DIGEST) inside bypass windows
-// behind a drain fence — exactly the sequential interleaving, which is what
-// makes sharded serving digest-equivalent to mutex serving.
+// out to shard worker threads — the simulator's phase model
+// (docs/PARALLELISM.md) carried into the live TCP path. Reactor threads
+// submit closed-over requests into an MPSC queue; the coordinator executes
+// their logical plans in arrival order, drains the executor every
+// `drain_batch` jobs (and before going idle), and runs control-plane
+// sections (balancer epochs, DIGEST) inside bypass windows behind a drain
+// fence — exactly the sequential interleaving, which is what makes sharded
+// serving digest-equivalent to a sequential core::Chameleon fed the same op
+// stream.
 //
 // The executor starts BYPASSED: a durable boot replays the WAL on the main
 // thread before any job is submitted, and a bypassed executor is inert
@@ -60,15 +62,12 @@ class StorePipeline {
   /// not throw (wrap store exceptions inside, the way Server::execute does).
   void submit(std::function<void()> fn);
 
-  /// Run `fn` on the coordinator inside a bypass window: drain fence first,
-  /// then `fn` fully inline (balancer epochs, digests, membership).
-  void submit_bypass(std::function<void()> fn);
-
   /// Bypass window entered from WITHIN a running job (coordinator thread
-  /// only): drain fence, bypass, `fn`, re-engage. This is how an epoch tick
-  /// stays ordered exactly after the Nth data op instead of drifting behind
-  /// whatever was already queued — the digest-equivalence tests depend on
-  /// that ordering matching the mutex backend's.
+  /// only): drain fence (covering the running job's own device work),
+  /// bypass, `fn`, re-engage. This is how an epoch tick stays ordered
+  /// exactly after the Nth data op instead of drifting behind whatever was
+  /// already queued — the digest-equivalence tests depend on that ordering
+  /// matching a sequential run's.
   void bypass_inline(const std::function<void()>& fn);
 
   std::uint64_t jobs_executed() const {
@@ -89,11 +88,6 @@ class StorePipeline {
   std::size_t shard_workers() const { return options_.workers; }
 
  private:
-  struct Job {
-    std::function<void()> fn;
-    bool bypass = false;
-  };
-
   void coordinator_loop();
   void drain_if_dirty();
 
@@ -103,7 +97,7 @@ class StorePipeline {
 
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::deque<Job> queue_;
+  std::deque<std::function<void()>> queue_;
   bool stop_ = false;
   std::thread thread_;
   std::atomic<bool> running_{false};

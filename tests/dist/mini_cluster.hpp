@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -51,8 +52,8 @@ class MiniCluster {
  public:
   static constexpr std::size_t kNodes = 3;
 
-  explicit MiniCluster(svc::StoreMode mode = svc::StoreMode::kSharded)
-      : store_mode_(mode) {
+  /// `workers`: shard worker threads under each node's store coordinator.
+  explicit MiniCluster(std::uint32_t workers = 2) : workers_(workers) {
     // First boot on ephemeral ports; pin the specs afterwards.
     for (std::size_t i = 0; i < kNodes; ++i) boot(i, 0);
     for (std::size_t i = 0; i < kNodes; ++i) {
@@ -85,8 +86,7 @@ class MiniCluster {
     node.system = std::make_unique<core::Chameleon>(small_system());
     svc::ServerConfig cfg;
     cfg.port = port;
-    cfg.workers = 2;
-    cfg.store_mode = store_mode_;
+    cfg.workers = workers_;
     cfg.epoch_every_ops = 100;
     cfg.node_id = static_cast<std::uint32_t>(i + 1);
     node.server = std::make_unique<svc::Server>(*node.system, cfg);
@@ -109,7 +109,7 @@ class MiniCluster {
     nodes_[i].runtime->start();
   }
 
-  svc::StoreMode store_mode_;
+  std::uint32_t workers_;
   std::vector<TestNode> nodes_{kNodes};
   std::vector<PeerSpec> specs_;
 };

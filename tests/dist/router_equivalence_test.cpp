@@ -1,13 +1,15 @@
-// Store-mode equivalence through the dist routing tier (ctest label
-// `dist`): the same deterministic workload routed into a 3-node cluster of
-// MUTEX-mode servers and a 3-node cluster of SHARDED-mode servers must
-// produce identical per-op outcomes, identical read values, and identical
-// aggregate digests — the distributed analogue of the single-node
-// shard-equivalence oracle, run in both replicate and stripe modes.
+// Worker-count equivalence through the dist routing tier (ctest label
+// `dist`): the same deterministic workload routed into a 3-node cluster
+// whose servers run 1 shard worker and one whose servers run 4 must produce
+// identical per-op outcomes and identical aggregate digests, in both
+// replicate and stripe mode. Every GET is also checked against an in-test
+// model of the last acked write, so the two clusters cannot agree on a
+// wrong answer.
 #include "dist/router.hpp"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -20,10 +22,16 @@ namespace {
 // core (no TCP front door, so op order — and thus version assignment — is
 // exactly the program order on both clusters).
 void run_workload_and_compare(Router& a, Router& b) {
+  // Last acked value per key; an acked DELETE erases the entry.
+  std::map<std::string, std::vector<std::uint8_t>> model;
   std::vector<std::uint8_t> got_a;
   std::vector<std::uint8_t> got_b;
+  int gets_with_value = 0;
   for (int step = 0; step < 400; ++step) {
-    const int slot = (step * 13) % 40;  // 40 keys, revisited with overwrites
+    // 40 keys, revisited with overwrites. The step/5 term shifts each key's
+    // slot relative to the action cycle, so every key sees puts, deletes and
+    // reads over the run.
+    const int slot = (step * 13 + step / 5) % 40;
     const std::string key = "eq-" + std::to_string(slot);
     const int action = step % 5;
     if (action <= 2) {  // 60% puts (incl. overwrites)
@@ -36,51 +44,61 @@ void run_workload_and_compare(Router& a, Router& b) {
       const svc::Status sb = b.route_put(key, value);
       ASSERT_EQ(sa, sb) << "put diverged at step " << step;
       ASSERT_EQ(sa, svc::Status::kOk) << "put failed at step " << step;
-    } else if (action == 3) {  // 20% deletes (some of never-written keys)
+      model[key] = value;
+    } else if (action == 3) {  // 20% deletes (some of absent keys)
       const svc::Status sa = a.route_delete(key);
       const svc::Status sb = b.route_delete(key);
       ASSERT_EQ(sa, sb) << "delete diverged at step " << step;
+      ASSERT_EQ(sa, svc::Status::kOk) << "delete failed at step " << step;
+      model.erase(key);
     } else {  // 20% reads
       got_a.clear();
       got_b.clear();
       const svc::Status sa = a.route_get(key, got_a);
       const svc::Status sb = b.route_get(key, got_b);
       ASSERT_EQ(sa, sb) << "get status diverged at step " << step;
-      if (sa == svc::Status::kOk) {
-        ASSERT_EQ(got_a, got_b) << "get value diverged at step " << step;
+      const auto it = model.find(key);
+      if (it == model.end()) {
+        ASSERT_EQ(sa, svc::Status::kNotFound) << "get at step " << step;
+      } else {
+        ASSERT_EQ(sa, svc::Status::kOk) << "get at step " << step;
+        ASSERT_EQ(got_a, it->second) << "get value wrong at step " << step;
+        ASSERT_EQ(got_b, it->second) << "get value wrong at step " << step;
+        ++gets_with_value;
       }
     }
   }
+  // The schedule must actually read back written values, not only misses.
+  EXPECT_GT(gets_with_value, 40);
 }
 
 void run_equivalence(RouteMode mode) {
-  MiniCluster mutex_cluster(svc::StoreMode::kMutex);
-  MiniCluster sharded_cluster(svc::StoreMode::kSharded);
-  Router mutex_router(test_router_config(mutex_cluster, mode));
-  Router sharded_router(test_router_config(sharded_cluster, mode));
-  mutex_router.start();
-  sharded_router.start();
-  ASSERT_TRUE(await_live(mutex_router, 3));
-  ASSERT_TRUE(await_live(sharded_router, 3));
+  MiniCluster one_worker(1);
+  MiniCluster four_workers(4);
+  Router router_a(test_router_config(one_worker, mode));
+  Router router_b(test_router_config(four_workers, mode));
+  router_a.start();
+  router_b.start();
+  ASSERT_TRUE(await_live(router_a, 3));
+  ASSERT_TRUE(await_live(router_b, 3));
 
-  run_workload_and_compare(mutex_router, sharded_router);
+  run_workload_and_compare(router_a, router_b);
 
   // Identical op sequence -> identical versioned blobs on identically
   // placed nodes -> identical whole-cluster fingerprint.
-  EXPECT_EQ(mutex_router.aggregate_digest(),
-            sharded_router.aggregate_digest());
-  EXPECT_EQ(mutex_router.stats().protocol_errors_total, 0u);
-  EXPECT_EQ(sharded_router.stats().protocol_errors_total, 0u);
+  EXPECT_EQ(router_a.aggregate_digest(), router_b.aggregate_digest());
+  EXPECT_EQ(router_a.stats().protocol_errors_total, 0u);
+  EXPECT_EQ(router_b.stats().protocol_errors_total, 0u);
 
-  mutex_router.stop();
-  sharded_router.stop();
+  router_a.stop();
+  router_b.stop();
 }
 
-TEST(RouterEquivalence, MutexAndShardedAgreeInReplicateMode) {
+TEST(RouterEquivalence, WorkerCountsAgreeInReplicateMode) {
   run_equivalence(RouteMode::kReplicate);
 }
 
-TEST(RouterEquivalence, MutexAndShardedAgreeInStripeMode) {
+TEST(RouterEquivalence, WorkerCountsAgreeInStripeMode) {
   run_equivalence(RouteMode::kStripe);
 }
 

@@ -127,5 +127,51 @@ TEST(SvcRecovery, RestartedServerReportsIdenticalDigest) {
   server.stop();
 }
 
+TEST(SvcRecovery, RestartAfterErasingEpochsReportsIdenticalDigest) {
+  // With 32 blocks per device the FTLs garbage-collect, so an epoch tick
+  // changes state that depends on whether the triggering PUT's device work
+  // has landed. The epoch checkpoint must capture the state after that work
+  // drains — exactly what a sequential run would hold — or the restarted
+  // server recovers a state the served one never had.
+  core::ChameleonConfig sys = small_system();
+  sys.ssd.block_count = 32;
+  svc::ServerConfig cfg = server_config();
+  cfg.epoch_every_ops = 50;
+  TempDir dir;
+  std::string served;
+  std::uint64_t erases = 0;
+  {
+    core::Chameleon system(sys);
+    Manager manager(system, durable_in(dir.path));
+    manager.open();
+    svc::Server server(system, cfg);
+    server.start();
+    {
+      svc::ClientPool pool(client_for(server), 1);
+      // The 2,000th PUT ticks the 40th epoch, so the last checkpoint is the
+      // one its epoch wrote and recovery replays no WAL records after it.
+      for (int i = 0; i < 2000; ++i) {
+        const std::vector<std::uint8_t> value(200,
+                                              static_cast<std::uint8_t>(i));
+        ASSERT_EQ(pool.put("key-" + std::to_string(i % 80), value),
+                  svc::Status::kOk);
+      }
+      served = pool.digest();
+    }
+    server.stop();
+    for (const std::uint64_t e : system.cluster().erase_counts()) erases += e;
+  }
+  EXPECT_GT(erases, 0u);
+
+  core::Chameleon system(sys);
+  Manager manager(system, durable_in(dir.path));
+  EXPECT_TRUE(manager.open().recovered);
+  svc::Server server(system, cfg);
+  server.start();
+  svc::ClientPool pool(client_for(server), 1);
+  EXPECT_EQ(pool.digest(), served);
+  server.stop();
+}
+
 }  // namespace
 }  // namespace chameleon::durability

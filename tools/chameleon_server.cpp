@@ -8,14 +8,11 @@
 // (# comments allowed) first; command-line flags override the file.
 //
 //   listen=127.0.0.1:7421   host:port to bind (port 0 = ephemeral)
-//   workers=2               store threads: shard workers (sharded) or
-//                           request-execution pool threads (mutex)
-//   store_mode=sharded      store backend: sharded (coordinator + shard
-//                           executor, no global store lock) | mutex (the
-//                           historical single-lock path)
+//   workers=2               shard worker threads under the store
+//                           coordinator
 //   reactors=1              IO threads; >1 binds one SO_REUSEPORT accept
 //                           socket per reactor
-//   drain_batch=64          sharded mode: ops between executor drain fences
+//   drain_batch=64          ops between executor drain fences
 //   servers=8               simulated flash servers behind the store
 //   capacity_mb=256         target dataset capacity across the cluster
 //   max_inflight=256        global admission window
@@ -166,8 +163,6 @@ int main(int argc, char** argv) {
         std::stoul(listen.substr(colon + 1)));
     server_config.workers =
         static_cast<std::uint32_t>(config.get_int("workers", 2));
-    server_config.store_mode = svc::store_mode_from_name(
-        config.get_string("store_mode", "sharded"));
     server_config.reactors =
         static_cast<std::uint32_t>(config.get_int("reactors", 1));
     server_config.drain_batch =
