@@ -42,6 +42,7 @@ void Config::set(std::string key, std::string value) {
 }
 
 std::optional<std::string> Config::get(std::string_view key) const {
+  read_.emplace(key);
   if (auto env = from_env(key)) return env;
   if (const auto it = values_.find(key); it != values_.end()) return it->second;
   return std::nullopt;
@@ -69,6 +70,14 @@ bool Config::get_bool(std::string_view key, bool def) const {
 
 bool Config::contains(std::string_view key) const {
   return get(key).has_value();
+}
+
+std::vector<std::string> Config::unread_keys() const {
+  std::vector<std::string> out;
+  for (const auto& [key, value] : values_) {
+    if (!read_.contains(key)) out.push_back(key);
+  }
+  return out;
 }
 
 std::optional<std::string> Config::from_env(std::string_view key) {

@@ -6,8 +6,10 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace chameleon {
 
@@ -31,11 +33,17 @@ class Config {
     return values_;
   }
 
+  /// Keys set() stored that no lookup (get*, contains) has asked for yet,
+  /// ascending: the flags a tool ignored, e.g. a misspelt or retired one.
+  /// Lookups are recorded, so a Config shared across threads needs a lock.
+  std::vector<std::string> unread_keys() const;
+
   /// Environment override: CHAMELEON_FOO_BAR beats config key "foo_bar".
   static std::optional<std::string> from_env(std::string_view key);
 
  private:
   std::map<std::string, std::string, std::less<>> values_;
+  mutable std::set<std::string, std::less<>> read_;
 };
 
 /// Global experiment scale factor (CHAMELEON_SCALE, default 0.1). Scales

@@ -23,25 +23,25 @@ Membership::Membership(const MembershipConfig& config) : config_(config) {
   }
 }
 
-void Membership::add_peer(const PeerSpec& spec) {
+void Membership::add_peer(std::uint32_t id) {
   std::lock_guard lock(mutex_);
-  if (find_locked(spec.id) != nullptr) {
+  if (find_locked(id) != nullptr) {
     throw std::invalid_argument("dist: duplicate peer id " +
-                                std::to_string(spec.id));
+                                std::to_string(id));
   }
   Entry entry;
-  entry.spec = spec;
+  entry.id = id;
   const auto pos = std::lower_bound(
-      entries_.begin(), entries_.end(), spec.id,
-      [](const Entry& e, std::uint32_t id) { return e.spec.id < id; });
+      entries_.begin(), entries_.end(), id,
+      [](const Entry& e, std::uint32_t want) { return e.id < want; });
   entries_.insert(pos, std::move(entry));
 }
 
 Membership::Entry* Membership::find_locked(std::uint32_t id) {
   const auto pos = std::lower_bound(
       entries_.begin(), entries_.end(), id,
-      [](const Entry& e, std::uint32_t want) { return e.spec.id < want; });
-  if (pos == entries_.end() || pos->spec.id != id) return nullptr;
+      [](const Entry& e, std::uint32_t want) { return e.id < want; });
+  if (pos == entries_.end() || pos->id != id) return nullptr;
   return &*pos;
 }
 
@@ -57,7 +57,6 @@ void Membership::transition_locked(Entry& entry, PeerState next) {
   }
   entry.state = next;
   ++transitions_;
-  ++view_version_;
 }
 
 bool Membership::probe_ok(std::uint32_t id) {
@@ -108,7 +107,7 @@ std::vector<std::uint32_t> Membership::live_ids() const {
   std::lock_guard lock(mutex_);
   std::vector<std::uint32_t> out;
   for (const Entry& e : entries_) {
-    if (e.state == PeerState::kAlive) out.push_back(e.spec.id);
+    if (e.state == PeerState::kAlive) out.push_back(e.id);
   }
   return out;
 }
@@ -117,7 +116,7 @@ std::vector<std::uint32_t> Membership::all_ids() const {
   std::lock_guard lock(mutex_);
   std::vector<std::uint32_t> out;
   out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back(e.spec.id);
+  for (const Entry& e : entries_) out.push_back(e.id);
   return out;
 }
 
@@ -127,37 +126,6 @@ bool Membership::settled() const {
     if (e.state == PeerState::kUnknown) return false;
   }
   return true;
-}
-
-std::vector<PeerInfo> Membership::snapshot() const {
-  std::lock_guard lock(mutex_);
-  std::vector<PeerInfo> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) {
-    PeerInfo info;
-    info.spec = e.spec;
-    info.state = e.state;
-    info.consecutive_misses = e.consecutive_misses;
-    info.heartbeats_ok = e.heartbeats_ok;
-    info.heartbeats_missed = e.heartbeats_missed;
-    info.rejoins = e.rejoins;
-    out.push_back(std::move(info));
-  }
-  return out;
-}
-
-PeerSpec Membership::spec_of(std::uint32_t id) const {
-  std::lock_guard lock(mutex_);
-  const Entry* entry = find_locked(id);
-  if (entry == nullptr) {
-    throw std::out_of_range("dist: unknown peer id " + std::to_string(id));
-  }
-  return entry->spec;
-}
-
-std::uint64_t Membership::view_version() const {
-  std::lock_guard lock(mutex_);
-  return view_version_;
 }
 
 std::uint64_t Membership::transitions_total() const {
@@ -182,7 +150,7 @@ std::string Membership::to_json() const {
   for (const Entry& e : entries_) {
     if (!first) out += ',';
     first = false;
-    out += "{\"id\":" + std::to_string(e.spec.id);
+    out += "{\"id\":" + std::to_string(e.id);
     out += ",\"state\":\"";
     out += peer_state_name(e.state);
     out += "\",\"misses\":" + std::to_string(e.consecutive_misses);

@@ -2,10 +2,10 @@
 //
 // This is core::Supervisor's lease/rejoin discipline lifted across process
 // boundaries: instead of a virtual-clock lease, a peer's lease is "answered
-// one of the last N liveness probes". Probes are PEER_HEALTH heartbeats (the
-// monitor threads) plus — on the router — data-plane RPC outcomes, so a
-// kill -9'd node is detected on the very next write that targets it, not
-// only at the next heartbeat tick.
+// one of the last N liveness probes". dist::Router holds the only view; its
+// probes are PEER_HEALTH heartbeats (the monitor thread) plus data-plane RPC
+// outcomes, so a kill -9'd node is detected on the very next write that
+// targets it, not only at the next heartbeat tick.
 //
 // State machine per peer (miss counts are consecutive):
 //
@@ -28,8 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "dist/peer.hpp"
-
 namespace chameleon::dist {
 
 enum class PeerState : std::uint8_t { kUnknown, kAlive, kSuspect, kDead };
@@ -40,21 +38,12 @@ struct MembershipConfig {
   std::uint32_t dead_after = 4;     ///< consecutive misses -> kDead
 };
 
-struct PeerInfo {
-  PeerSpec spec;
-  PeerState state = PeerState::kUnknown;
-  std::uint32_t consecutive_misses = 0;
-  std::uint64_t heartbeats_ok = 0;
-  std::uint64_t heartbeats_missed = 0;
-  std::uint64_t rejoins = 0;  ///< kDead -> kAlive transitions
-};
-
 class Membership {
  public:
   explicit Membership(const MembershipConfig& config = {});
 
   /// Register a peer in kUnknown. Throws on duplicate id.
-  void add_peer(const PeerSpec& spec);
+  void add_peer(std::uint32_t id);
 
   /// Record a successful probe of `id`. Returns true when the peer's state
   /// changed (kUnknown/kSuspect/kDead -> kAlive). Unknown ids are ignored
@@ -76,12 +65,7 @@ class Membership {
   /// the cluster-startup gate the router's HEALTH reports.
   bool settled() const;
 
-  std::vector<PeerInfo> snapshot() const;
-  PeerSpec spec_of(std::uint32_t id) const;
-
-  /// Monotone version, bumped on every state transition. Carried in
-  /// PEER_HEALTH bodies so either side can notice it missed a change.
-  std::uint64_t view_version() const;
+  /// Peer state changes so far; steady-state probes change nothing.
   std::uint64_t transitions_total() const;
   std::uint64_t rejoins_total() const;
   std::size_t size() const;
@@ -91,12 +75,12 @@ class Membership {
 
  private:
   struct Entry {
-    PeerSpec spec;
+    std::uint32_t id = 0;
     PeerState state = PeerState::kUnknown;
     std::uint32_t consecutive_misses = 0;
     std::uint64_t heartbeats_ok = 0;
     std::uint64_t heartbeats_missed = 0;
-    std::uint64_t rejoins = 0;
+    std::uint64_t rejoins = 0;  ///< kDead -> kAlive transitions
   };
 
   Entry* find_locked(std::uint32_t id);
@@ -105,8 +89,7 @@ class Membership {
 
   MembershipConfig config_;
   mutable std::mutex mutex_;
-  std::vector<Entry> entries_;  ///< sorted by spec.id
-  std::uint64_t view_version_ = 1;
+  std::vector<Entry> entries_;  ///< sorted by id
   std::uint64_t transitions_ = 0;
   std::uint64_t rejoins_ = 0;
 };

@@ -80,11 +80,13 @@ RouteMode route_mode_from_name(const std::string& name) {
 
 /// Data-plane access to one node: the lazily (re)built client pool plus the
 /// port it was built against, so a node restarting on a different ephemeral
-/// port gets a fresh pool. Guarded by pools_mutex_.
+/// port gets a fresh pool. Guarded by pools_mutex_. The pool is shared: a
+/// rebuild only drops the table's reference, and a caller still inside
+/// ClientPool::call on the old pool keeps it alive until it returns.
 struct Router::NodePool {
   PeerSpec spec;
   std::uint16_t port = 0;
-  std::unique_ptr<svc::ClientPool> pool;
+  std::shared_ptr<svc::ClientPool> pool;
 };
 
 /// Heartbeat connection state per node; monitor thread only.
@@ -137,7 +139,7 @@ Router::Router(const RouterConfig& config)
                                   std::to_string(node.id));
     }
     ring_.add_server(node.id);
-    membership_.add_peer(node);
+    membership_.add_peer(node.id);
     auto pool = std::make_unique<NodePool>();
     pool->spec = node;
     pools_.emplace(node.id, std::move(pool));
@@ -151,7 +153,7 @@ Router::~Router() { stop(); }
 
 // --- data-plane plumbing -----------------------------------------------------
 
-svc::ClientPool* Router::pool_for(std::uint32_t id) {
+std::shared_ptr<svc::ClientPool> Router::pool_for(std::uint32_t id) {
   std::lock_guard lock(pools_mutex_);
   const auto it = pools_.find(id);
   if (it == pools_.end()) return nullptr;
@@ -165,16 +167,16 @@ svc::ClientPool* Router::pool_for(std::uint32_t id) {
     cc.retry = config_.node_retry;
     cc.max_payload = config_.max_payload;
     cc.default_io_timeout = config_.io_timeout;
-    np.pool = std::make_unique<svc::ClientPool>(cc, config_.pool_size);
+    np.pool = std::make_shared<svc::ClientPool>(cc, config_.pool_size);
     np.port = *resolved;
   }
-  return np.pool.get();
+  return np.pool;
 }
 
 std::optional<svc::Frame> Router::node_call(std::uint32_t id, svc::Op op,
                                             std::vector<std::uint8_t> payload) {
   fanout_rpcs_total_.fetch_add(1, std::memory_order_relaxed);
-  svc::ClientPool* pool = pool_for(id);
+  const std::shared_ptr<svc::ClientPool> pool = pool_for(id);
   if (pool == nullptr) {
     fanout_failures_total_.fetch_add(1, std::memory_order_relaxed);
     membership_.probe_missed(id);
@@ -195,8 +197,7 @@ std::optional<svc::Frame> Router::node_call(std::uint32_t id, svc::Op op,
   return std::nullopt;
 }
 
-std::vector<std::uint32_t> Router::live_order(std::uint64_t key_hash,
-                                              bool wear_order) {
+std::vector<std::uint32_t> Router::live_order(std::uint64_t key_hash) {
   const std::vector<ServerId> all =
       ring_.successors(key_hash, ring_.server_count());
   std::vector<std::uint32_t> live;
@@ -204,29 +205,11 @@ std::vector<std::uint32_t> Router::live_order(std::uint64_t key_hash,
   for (const ServerId id : all) {
     if (membership_.is_live(id)) live.push_back(id);
   }
-  if (wear_order && live.size() > 1) {
-    // Cross-node wear balancing (the ARPT/HCDS lever lifted across node
-    // boundaries): prefer less-worn nodes for new writes. stable_sort keeps
-    // ring order among equally-worn nodes, so a cluster with no wear signal
-    // routes exactly like wear_route=off.
-    std::lock_guard lock(wear_mutex_);
-    std::stable_sort(live.begin(), live.end(),
-                     [this](std::uint32_t a, std::uint32_t b) {
-                       const auto ita = wear_.find(a);
-                       const auto itb = wear_.find(b);
-                       const std::uint64_t wa =
-                           ita == wear_.end() ? 0 : ita->second.total_erases;
-                       const std::uint64_t wb =
-                           itb == wear_.end() ? 0 : itb->second.total_erases;
-                       return wa < wb;
-                     });
-  }
   return live;
 }
 
 std::vector<std::uint32_t> Router::write_targets(std::string_view key) {
-  std::vector<std::uint32_t> order =
-      live_order(cluster::key_point(key), config_.wear_route);
+  std::vector<std::uint32_t> order = live_order(cluster::key_point(key));
   if (config_.mode == RouteMode::kReplicate &&
       order.size() > config_.replicas) {
     order.resize(config_.replicas);
@@ -248,8 +231,7 @@ svc::Status Router::replicate_put(std::string_view key, std::uint64_t version,
   std::vector<std::uint8_t> payload;
   svc::encode_replicate_body(body, payload);
 
-  std::vector<std::uint32_t> targets =
-      live_order(cluster::key_point(key), config_.wear_route);
+  std::vector<std::uint32_t> targets = live_order(cluster::key_point(key));
   // Never ack under-replicated: with fewer than `replicas` live nodes a
   // write would land a single copy, and the one permitted node failure
   // could then make a rejoined stale copy win reads. Shed instead — the
@@ -292,7 +274,7 @@ svc::Status Router::stripe_put(std::string_view key, std::uint64_t version,
   }
 
   const std::vector<std::uint32_t> palette =
-      live_order(cluster::key_point(key), config_.wear_route);
+      live_order(cluster::key_point(key));
   // Never ack a stripe that one node failure would make unreconstructable:
   // round-robin over a small palette piles several shard indexes onto one
   // node, and losing a node that carries more than m shards drops the
@@ -367,7 +349,7 @@ svc::Status Router::replicate_get(std::string_view key,
   // node down at a time, the latest acked write (stored on `replicas` nodes)
   // is always present on a consulted node, and stale rejoined copies lose.
   const std::vector<std::uint32_t> candidates =
-      live_order(cluster::key_point(key), false);
+      live_order(cluster::key_point(key));
   std::vector<std::uint8_t> body;
   svc::encode_key_body(key, body);
   bool found = false;
@@ -404,7 +386,7 @@ svc::Status Router::stripe_get(std::string_view key,
                                std::vector<std::uint8_t>& value_out) {
   const std::uint32_t shard_count = config_.ec_k + config_.ec_m;
   const std::vector<std::uint32_t> candidates =
-      live_order(cluster::key_point(key), false);
+      live_order(cluster::key_point(key));
   bool failures = candidates.empty();
   // version -> (index -> shard bytes); every node is asked for every shard
   // index, because fail/rejoin cycles migrate shard placement over time.
@@ -501,7 +483,7 @@ std::string Router::aggregate_digest() {
   // membership states.
   std::uint64_t h = fnv1a64("chameleon.dist.digest");
   for (const std::uint32_t id : membership_.all_ids()) {
-    svc::ClientPool* pool = pool_for(id);
+    const std::shared_ptr<svc::ClientPool> pool = pool_for(id);
     if (pool == nullptr) {
       throw TransientFault("dist router: node " + std::to_string(id) +
                            " unresolved for digest");
@@ -545,11 +527,6 @@ std::vector<NodeWear> Router::wear_view() const {
   return out;
 }
 
-void Router::set_wear_for_test(const NodeWear& wear) {
-  std::lock_guard lock(wear_mutex_);
-  wear_[wear.node_id] = wear;
-}
-
 // --- liveness monitor --------------------------------------------------------
 
 void Router::probe_node(ProbeLink& link) {
@@ -567,15 +544,8 @@ void Router::probe_node(ProbeLink& link) {
     link.conn = std::make_unique<svc::ClientConn>(cc);
     link.resolved_port = *resolved;
   }
-  svc::PeerHealthBody body;
-  body.node_id = config_.router_id;
-  body.state = 1;
-  body.view_version = membership_.view_version();
-  std::vector<std::uint8_t> payload;
-  svc::encode_peer_health_body(body, payload);
   try {
-    const svc::Frame reply =
-        link.conn->call(svc::Op::kPeerHealth, std::move(payload));
+    const svc::Frame reply = link.conn->call(svc::Op::kPeerHealth, {});
     svc::PeerHealthBody answer;
     // Liveness for the DATA plane means "serving": a node that answers
     // heartbeats while recovering still sheds data ops, so it only rejoins
@@ -832,18 +802,6 @@ svc::Frame Router::dispatch(const svc::Frame& request) {
         resp.payload.assign(body.begin(), body.end());
         break;
       }
-      case svc::Op::kPlace: {
-        std::string key;
-        if (!svc::decode_key_body(request.payload, key)) {
-          resp.status = svc::Status::kBadRequest;
-          break;
-        }
-        svc::PlacementBody body;
-        body.view_version = membership_.view_version();
-        body.nodes = ring_.successors(cluster::key_point(key), ring_.server_count());
-        svc::encode_placement_body(body, resp.payload);
-        break;
-      }
       default:
         resp.status = svc::Status::kBadRequest;
         break;
@@ -928,10 +886,7 @@ std::string Router::stats_json() const {
   field("protocol_errors_total", s.protocol_errors_total);
   field("membership_transitions_total", membership_.transitions_total());
   field("membership_rejoins_total", membership_.rejoins_total());
-  field("view_version", membership_.view_version());
   field("next_version", next_version_.load(std::memory_order_relaxed));
-  out += ",\"wear_route\":";
-  out += config_.wear_route ? "true" : "false";
   out += ",\"membership\":" + membership_.to_json();
   out += ",\"wear\":[";
   bool first = true;

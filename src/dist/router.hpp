@@ -27,12 +27,11 @@
 //   - heartbeats every node (kPeerHealth) from a monitor thread and ALSO
 //     feeds data-plane RPC outcomes into the same Membership, so a
 //     kill -9'd node is excluded on the next write that touches it and
-//     re-absorbed once it heartbeats back as serving;
+//     re-absorbed once it heartbeats back as serving. This is the cluster's
+//     only membership view: data nodes answer the probe and track nobody;
 //   - polls WEAR_REPORT on a cadence and aggregates per-node erase counters
-//     into a cluster-wide wear view (STATS); with `wear_route` the write
-//     fan-out order prefers less-worn nodes — the cross-node extension of
-//     the paper's wear-balancing lever. Off by default: it reorders
-//     replica/shard placement, which otherwise stays byte-deterministic.
+//     into a cluster-wide wear view (STATS). Placement never reads it, so
+//     replica/shard placement stays byte-deterministic.
 //
 // Consistency model: single-router, all-targets-ack writes. With at most
 // one node down at a time, every acked write (or delete) is readable at its
@@ -82,13 +81,13 @@ struct RouterConfig {
   std::uint32_t ec_m = 1;      ///< stripe mode: parity shards
   std::uint32_t ring_vnodes = 64;
   MembershipConfig membership;
-  /// Sender id stamped into heartbeats and peer-op bodies; outside the node
-  /// id space so data nodes never track the router as a peer.
+  /// Origin id stamped into REPLICATE and STRIPE_WRITE bodies; outside the
+  /// node id space.
   std::uint32_t router_id = 0xfffffffe;
   Nanos heartbeat_interval = 50 * kMillisecond;
   Nanos heartbeat_timeout = 250 * kMillisecond;
   /// Wear-view poll cadence (kWearReport to every live node); 0 disables
-  /// polling (the view can still be injected for tests).
+  /// polling (poll_wear_now() still refreshes the view).
   Nanos wear_poll_interval = 0;
   /// Starting write version. 0 (the default) derives a floor from the wall
   /// clock (microseconds since the Unix epoch) so a restarted router stamps
@@ -96,8 +95,6 @@ struct RouterConfig {
   /// nodes; nonzero pins the counter exactly (deterministic tests). See the
   /// router-restart note in docs/DISTRIBUTED.md.
   std::uint64_t version_seed = 0;
-  /// Order write targets by ascending aggregate wear (see file comment).
-  bool wear_route = false;
   /// Per-node RPC policy: deliberately small — the router's own failover
   /// (placement over live nodes) is the real retry, and the CLIENT retries
   /// kRetryLater end to end.
@@ -179,20 +176,19 @@ class Router {
   /// reported are absent). poll_wear_now() refreshes it synchronously.
   std::vector<NodeWear> wear_view() const;
   void poll_wear_now();
-  /// Test hook: inject one node's wear report deterministically.
-  void set_wear_for_test(const NodeWear& wear);
 
  private:
   struct NodePool;
   struct ProbeLink;
 
   /// The per-node client pool, (re)built lazily once the node's port
-  /// resolves; returns nullptr while unresolved.
-  svc::ClientPool* pool_for(std::uint32_t id);
+  /// resolves; nullptr while unresolved. Callers hold the returned
+  /// reference for the whole RPC, because a restarted node's new port
+  /// replaces the table's pool while other threads may still use the old.
+  std::shared_ptr<svc::ClientPool> pool_for(std::uint32_t id);
   /// Live successor order for a key: ring successors over the full set,
-  /// filtered through the membership view (then wear-ordered if enabled).
-  std::vector<std::uint32_t> live_order(std::uint64_t key_hash,
-                                        bool wear_order);
+  /// filtered through the membership view.
+  std::vector<std::uint32_t> live_order(std::uint64_t key_hash);
   /// One data-plane RPC with membership feedback. Returns std::nullopt on
   /// transport failure (the node was marked missed).
   std::optional<svc::Frame> node_call(std::uint32_t id, svc::Op op,

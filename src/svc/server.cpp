@@ -49,8 +49,8 @@ Nanos elapsed_ns(std::chrono::steady_clock::time_point from,
 
 bool is_data_op(Op op) {
   // Peer store ops (kReplicate/kStripeWrite) and the wear snapshot ride the
-  // same admission/deadline/store-pipeline path as client data ops; kPlace
-  // and kPeerHealth are pure membership reads answered inline like kHealth.
+  // same admission/deadline/store-pipeline path as client data ops;
+  // kPeerHealth is answered inline like kHealth.
   return op == Op::kGet || op == Op::kPut || op == Op::kDelete ||
          op == Op::kDigest || op == Op::kReplicate || op == Op::kStripeWrite ||
          op == Op::kWearReport;
@@ -733,23 +733,19 @@ Frame Server::control_response(const Frame& request) {
       resp.payload.assign(body.begin(), body.end());
       break;
     }
-    case Op::kPlace:
     case Op::kPeerHealth: {
-      // Membership peer ops (docs/DISTRIBUTED.md): answered inline in every
-      // serving state — heartbeats must keep flowing while a node recovers
-      // or drains, exactly like HEALTH. Without an installed handler (a
-      // single-node server) both are malformed requests.
-      PeerHandler* handler = peer_handler_.load(std::memory_order_acquire);
-      bool ok = false;
-      if (handler != nullptr) {
-        ok = request.op == Op::kPlace
-                 ? handler->place(request.payload, resp.payload)
-                 : handler->peer_health(request.payload, resp.payload);
-      }
-      if (!ok) {
+      // The router's liveness probe (docs/DISTRIBUTED.md), answered like
+      // HEALTH in every serving state: the router counts a node live only
+      // while it reports serving, so a recovering or draining node must
+      // still say so.
+      if (!request.payload.empty()) {
         resp.status = Status::kBadRequest;
-        resp.payload.clear();
+        break;
       }
+      PeerHealthBody body;
+      body.node_id = config_.node_id;
+      body.state = static_cast<std::uint8_t>(state());
+      encode_peer_health_body(body, resp.payload);
       break;
     }
     default:

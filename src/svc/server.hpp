@@ -97,27 +97,12 @@ struct RecoveryInfo {
   double last_recovery_seconds = 0.0;       ///< how long recovery took
 };
 
-/// Hook a distributed-mode node runtime installs to answer the membership
-/// peer ops (kPlace, kPeerHealth) without the server depending on dist/.
-/// Both calls run inline on an IO thread, so implementations must be fast,
-/// non-blocking, and thread-safe. Returning false maps to kBadRequest.
-class PeerHandler {
- public:
-  virtual ~PeerHandler() = default;
-  /// kPlace: `request` is a key body; fill `response` with a placement body.
-  virtual bool place(std::span<const std::uint8_t> request,
-                     std::vector<std::uint8_t>& response) = 0;
-  /// kPeerHealth: `request` is the sender's peer-health body; renew its
-  /// lease and fill `response` with this node's peer-health body.
-  virtual bool peer_health(std::span<const std::uint8_t> request,
-                           std::vector<std::uint8_t>& response) = 0;
-};
-
 struct ServerConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;     ///< 0 = ephemeral (read back via port())
   /// This process's node id in a multi-node deployment (docs/DISTRIBUTED.md);
-  /// surfaced in STATS/HEALTH and echoed in WEAR_REPORT bodies.
+  /// surfaced in STATS/HEALTH and echoed in PEER_HEALTH and WEAR_REPORT
+  /// bodies.
   std::uint32_t node_id = 0;
   /// Shard worker threads under the store coordinator.
   std::uint32_t workers = 2;
@@ -228,13 +213,6 @@ class Server {
   /// `gc` must outlive the server's serving phase (it is flushed in wait()).
   void set_group_commit(durability::GroupCommit* gc) {
     group_commit_.store(gc, std::memory_order_release);
-  }
-
-  /// Install the distributed-mode hook that answers kPlace/kPeerHealth
-  /// (normally a dist::NodeRuntime). `handler` must outlive the server's
-  /// serving phase; nullptr (the default) answers both ops kBadRequest.
-  void set_peer_handler(PeerHandler* handler) {
-    peer_handler_.store(handler, std::memory_order_release);
   }
 
  private:
@@ -366,7 +344,6 @@ class Server {
   AdmissionController admission_;
 
   std::atomic<durability::GroupCommit*> group_commit_{nullptr};
-  std::atomic<PeerHandler*> peer_handler_{nullptr};
 
   /// Data ops since the last epoch tick; coordinator thread only.
   std::uint64_t ops_since_epoch_ = 0;

@@ -42,7 +42,6 @@ const char* op_name(Op op) {
     case Op::kMetrics: return "metrics";
     case Op::kDigest: return "digest";
     case Op::kHealth: return "health";
-    case Op::kPlace: return "place";
     case Op::kReplicate: return "replicate";
     case Op::kStripeWrite: return "stripe_write";
     case Op::kPeerHealth: return "peer_health";
@@ -392,37 +391,11 @@ std::string shard_key(std::string_view key, std::uint32_t index) {
   return out;
 }
 
-void encode_placement_body(const PlacementBody& body,
-                           std::vector<std::uint8_t>& out) {
-  out.reserve(out.size() + 12 + 4 * body.nodes.size());
-  put_u64(out, body.view_version);
-  put_u32(out, static_cast<std::uint32_t>(body.nodes.size()));
-  for (std::uint32_t id : body.nodes) put_u32(out, id);
-}
-
-bool decode_placement_body(std::span<const std::uint8_t> payload,
-                           PlacementBody& out) {
-  Cursor c(payload);
-  if (!c.u64(out.view_version)) return false;
-  std::uint32_t count = 0;
-  if (!c.u32(count)) return false;
-  if (c.remaining != 4 * static_cast<std::size_t>(count)) return false;
-  out.nodes.clear();
-  out.nodes.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t id = 0;
-    c.u32(id);  // length pre-validated above
-    out.nodes.push_back(id);
-  }
-  return true;
-}
-
 void encode_peer_health_body(const PeerHealthBody& body,
                              std::vector<std::uint8_t>& out) {
-  out.reserve(out.size() + 13);
+  out.reserve(out.size() + 5);
   put_u32(out, body.node_id);
   out.push_back(body.state);
-  put_u64(out, body.view_version);
 }
 
 bool decode_peer_health_body(std::span<const std::uint8_t> payload,
@@ -433,7 +406,6 @@ bool decode_peer_health_body(std::span<const std::uint8_t> payload,
   if (!c.bytes(1, sp)) return false;
   out.state = *sp;
   if (out.state > 2) return false;
-  if (!c.u64(out.view_version)) return false;
   return c.remaining == 0;
 }
 

@@ -1,5 +1,5 @@
 // Versioned length-prefixed binary wire protocol for the network service
-// layer (docs/SERVICE.md). Every message is one frame (version 2):
+// layer (docs/SERVICE.md). Every message is one frame (version 3):
 //
 //   offset size field
 //   0      4    magic "CHML"
@@ -18,7 +18,8 @@
 // Version 2 widened the header from 24 to 32 bytes to carry the per-request
 // deadline budget (docs/SERVICE.md): a server that dequeues a request after
 // its deadline lapsed sheds it with Status::kDeadlineExceeded instead of
-// servicing it late.
+// servicing it late. Version 3 kept that header, dropped the ring-placement
+// op (so the ops after it renumbered) and shrank the PEER_HEALTH bodies.
 //
 // Decoding is strict and bounded: FrameDecoder validates the header fields
 // *before* waiting for the payload (an oversized length is rejected from the
@@ -59,17 +60,15 @@ enum class Op : std::uint8_t {
               ///< (state recovering|serving|draining + recovery counters);
               ///< answered inline in every state so probes never block
   // --- inter-node peer ops (docs/DISTRIBUTED.md) ---------------------------
-  // Version 2 frames carry these between chameleon_router / chameleon_server
-  // processes; a node that is not running in distributed mode answers them
-  // with kBadRequest.
-  kPlace,        ///< request: key body; response: placement body (the ring's
-                 ///< full successor order for the key + membership view)
+  // chameleon_router sends these to its chameleon_server data nodes; every
+  // server answers them.
   kReplicate,    ///< request: replicate body (origin node + key + value);
                  ///< stores a full replica under the client key
   kStripeWrite,  ///< request: stripe-shard body (EC geometry + shard bytes);
                  ///< stores one shard blob under the internal shard key
-  kPeerHealth,   ///< request: peer-health body (sender id + view version);
-                 ///< renews the sender's lease; response echoes local view
+  kPeerHealth,   ///< request: empty; response: peer-health body (this
+                 ///< server's node id + serving state), answered inline in
+                 ///< every state: the router's liveness probe
   kWearReport,   ///< request: empty; response: wear-report body (per-flash-
                  ///< server erase counters) for cross-node wear aggregation
   kCount
@@ -89,7 +88,7 @@ enum class Status : std::uint8_t {
 };
 const char* status_name(Status s);
 
-inline constexpr std::uint8_t kWireVersion = 2;
+inline constexpr std::uint8_t kWireVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 32;
 inline constexpr std::uint32_t kDefaultMaxPayload = 4u << 20;  ///< 4 MiB
 inline constexpr std::uint32_t kMaxKeyBytes = 4096;
@@ -184,7 +183,7 @@ bool decode_key_body(std::span<const std::uint8_t> payload, std::string& out);
 // --- peer-op body codecs (docs/DISTRIBUTED.md) -----------------------------
 // Same conventions as the client bodies: little-endian fixed-width fields,
 // exact lengths, decoders that validate before every read. All of these ride
-// inside ordinary v2 frames, so the CRC32C payload checksum already covers
+// inside ordinary frames, so the CRC32C payload checksum already covers
 // them; the stripe body additionally carries the CRC of the *original*
 // object so the router can verify a reconstruction end to end.
 
@@ -272,25 +271,12 @@ bool decode_replica_blob(std::span<const std::uint8_t> blob, ReplicaBlob& out);
 /// keys are free-form bytes, but tools and tests never start keys with 0x01).
 std::string shard_key(std::string_view key, std::uint32_t index);
 
-/// PLACE response / membership exchange: u64 view_version | u32 count |
-/// count x u32 node ids, in ring-successor preference order.
-struct PlacementBody {
-  std::uint64_t view_version = 0;
-  std::vector<std::uint32_t> nodes;
-};
-void encode_placement_body(const PlacementBody& body,
-                           std::vector<std::uint8_t>& out);
-bool decode_placement_body(std::span<const std::uint8_t> payload,
-                           PlacementBody& out);
-
-/// PEER_HEALTH request and response: u32 node_id | u8 state |
-/// u64 view_version. In requests `state` is the sender's serving state
-/// (0 = recovering, 1 = serving, 2 = draining); responses echo the
-/// receiver's. View versions let either side notice a membership change.
+/// PEER_HEALTH response: u32 node_id | u8 state, the answering server's node
+/// id and serving state (0 = recovering, 1 = serving, 2 = draining). The
+/// request payload is empty.
 struct PeerHealthBody {
   std::uint32_t node_id = 0;
   std::uint8_t state = 0;
-  std::uint64_t view_version = 0;
 };
 void encode_peer_health_body(const PeerHealthBody& body,
                              std::vector<std::uint8_t>& out);

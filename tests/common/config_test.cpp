@@ -89,5 +89,22 @@ TEST(Config, LastSetWins) {
   EXPECT_EQ(c.get_int("k", 0), 2);
 }
 
+TEST(Config, UnreadKeysListsWhatNoLookupAskedFor) {
+  Config c;
+  c.set("workers", "4");
+  c.set("peers", "2@h:1");
+  c.set("listen", "127.0.0.1:0");
+  c.set("verbose", "1");
+  EXPECT_EQ(c.unread_keys(),
+            (std::vector<std::string>{"listen", "peers", "verbose",
+                                      "workers"}));
+  // Every typed getter and contains() count as a read, hit or miss.
+  EXPECT_EQ(c.get_int("workers", 2), 4);
+  EXPECT_EQ(c.get_string("listen", ""), "127.0.0.1:0");
+  EXPECT_TRUE(c.contains("verbose"));
+  EXPECT_FALSE(c.get_bool("heartbeat_ms_typo", false));
+  EXPECT_EQ(c.unread_keys(), (std::vector<std::string>{"peers"}));
+}
+
 }  // namespace
 }  // namespace chameleon

@@ -78,9 +78,7 @@ TEST(PeerSpec, ResolvePortReadsAndRereadsFile) {
 
 TEST(Membership, LeaseStateMachineIsDeterministic) {
   Membership m({.suspect_after = 2, .dead_after = 4});
-  PeerSpec spec;
-  spec.id = 7;
-  m.add_peer(spec);
+  m.add_peer(7);
   EXPECT_EQ(m.state_of(7), PeerState::kUnknown);
   EXPECT_FALSE(m.settled());
   EXPECT_FALSE(m.is_live(7));
@@ -107,9 +105,7 @@ TEST(Membership, LeaseStateMachineIsDeterministic) {
 
 TEST(Membership, SuspectBlipAbsorbedWithoutRejoin) {
   Membership m({.suspect_after = 2, .dead_after = 4});
-  PeerSpec spec;
-  spec.id = 1;
-  m.add_peer(spec);
+  m.add_peer(1);
   m.probe_ok(1);
   m.probe_missed(1);
   m.probe_missed(1);
@@ -119,46 +115,37 @@ TEST(Membership, SuspectBlipAbsorbedWithoutRejoin) {
   EXPECT_EQ(m.rejoins_total(), 0u);  // a blip is not a rejoin
 }
 
+// The view's version is its transition count: it moves only when some
+// peer's state does.
 TEST(Membership, ViewVersionBumpsOnlyOnTransitions) {
   Membership m;
-  PeerSpec spec;
-  spec.id = 1;
-  m.add_peer(spec);
-  const std::uint64_t v0 = m.view_version();
-  m.probe_ok(1);
-  const std::uint64_t v1 = m.view_version();
-  EXPECT_GT(v1, v0);
+  m.add_peer(1);
+  EXPECT_EQ(m.transitions_total(), 0u);
+  m.probe_ok(1);  // kUnknown -> kAlive
+  EXPECT_EQ(m.transitions_total(), 1u);
   m.probe_ok(1);  // steady state: no transition
-  EXPECT_EQ(m.view_version(), v1);
+  EXPECT_EQ(m.transitions_total(), 1u);
   m.probe_missed(1);  // below suspect threshold: no transition
-  EXPECT_EQ(m.view_version(), v1);
+  EXPECT_EQ(m.transitions_total(), 1u);
 }
 
 TEST(Membership, LiveIdsAscendingAndUnknownIdsIgnored) {
   Membership m;
-  for (const std::uint32_t id : {5u, 1u, 3u}) {
-    PeerSpec spec;
-    spec.id = id;
-    m.add_peer(spec);
-  }
+  for (const std::uint32_t id : {5u, 1u, 3u}) m.add_peer(id);
   EXPECT_FALSE(m.probe_ok(99));  // not registered: ignored
   m.probe_ok(5);
   m.probe_ok(1);
   EXPECT_EQ(m.live_ids(), (std::vector<std::uint32_t>{1, 5}));
   EXPECT_EQ(m.all_ids(), (std::vector<std::uint32_t>{1, 3, 5}));
-  EXPECT_THROW(m.spec_of(99), std::out_of_range);
-  PeerSpec dup;
-  dup.id = 3;
-  EXPECT_THROW(m.add_peer(dup), std::invalid_argument);
+  EXPECT_EQ(m.state_of(99), PeerState::kUnknown);
+  EXPECT_THROW(m.add_peer(3), std::invalid_argument);
 }
 
 TEST(Membership, UnknownPeerDiesAfterEnoughMisses) {
   // A peer that NEVER answered still settles (to kDead) after dead_after
   // misses, so one crashed-at-boot node cannot wedge router startup.
   Membership m({.suspect_after = 2, .dead_after = 4});
-  PeerSpec spec;
-  spec.id = 2;
-  m.add_peer(spec);
+  m.add_peer(2);
   for (int i = 0; i < 3; ++i) m.probe_missed(2);
   EXPECT_FALSE(m.settled());
   m.probe_missed(2);

@@ -1,7 +1,7 @@
-// Shared in-process 3-node test harness for the dist suite: three
-// svc::Servers (each with a NodeRuntime attached) on loopback with fixed
-// post-bind ports, so tests can kill a node and restart it at the same
-// address — the in-process analogue of the multi-process chaosd topology.
+// Shared in-process 3-node test harness for the dist suite: three plain
+// svc::Servers on loopback with fixed post-bind ports, so tests can kill a
+// node and restart it at the same address — the in-process analogue of the
+// multi-process chaosd topology.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/chameleon.hpp"
-#include "dist/node.hpp"
 #include "dist/router.hpp"
 #include "svc/client_conn.hpp"
 #include "svc/server.hpp"
@@ -30,20 +29,13 @@ inline core::ChameleonConfig small_system() {
   return cfg;
 }
 
-/// One in-process data node: simulated cluster + server + node runtime.
+/// One in-process data node: simulated cluster + server.
 struct TestNode {
   std::unique_ptr<core::Chameleon> system;
   std::unique_ptr<svc::Server> server;
-  std::unique_ptr<NodeRuntime> runtime;
 
   void stop() {
-    if (runtime) runtime->stop();
-    if (server) {
-      server->set_peer_handler(nullptr);
-      server->stop();
-    }
-    runtime.reset();
-    server.reset();
+    server.reset();  // ~Server drains and joins before the store goes
     system.reset();
   }
 };
@@ -63,7 +55,6 @@ class MiniCluster {
       spec.port = nodes_[i].server->port();
       specs_.push_back(spec);
     }
-    for (std::size_t i = 0; i < kNodes; ++i) attach_runtime(i);
   }
 
   ~MiniCluster() {
@@ -75,10 +66,7 @@ class MiniCluster {
 
   void kill(std::size_t i) { nodes_[i].stop(); }
 
-  void restart(std::size_t i) {
-    boot(i, specs_[i].port);
-    attach_runtime(i);
-  }
+  void restart(std::size_t i) { boot(i, specs_[i].port); }
 
  private:
   void boot(std::size_t i, std::uint16_t port) {
@@ -91,22 +79,6 @@ class MiniCluster {
     cfg.node_id = static_cast<std::uint32_t>(i + 1);
     node.server = std::make_unique<svc::Server>(*node.system, cfg);
     node.server->start();
-  }
-
-  void attach_runtime(std::size_t i) {
-    NodeConfig cfg;
-    cfg.node_id = static_cast<std::uint32_t>(i + 1);
-    for (std::size_t j = 0; j < kNodes; ++j) {
-      if (j != i) cfg.peers.push_back(specs_[j]);
-    }
-    cfg.heartbeat_interval = 10 * kMillisecond;
-    svc::Server* server = nodes_[i].server.get();
-    nodes_[i].runtime = std::make_unique<NodeRuntime>(
-        cfg, [server]() -> std::uint8_t {
-          return static_cast<std::uint8_t>(server->state());
-        });
-    server->set_peer_handler(nodes_[i].runtime.get());
-    nodes_[i].runtime->start();
   }
 
   std::uint32_t workers_;

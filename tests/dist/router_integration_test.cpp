@@ -1,20 +1,25 @@
 // In-process 3-node cluster integration tests for the dist routing tier
-// (ctest label `dist`): three svc::Servers with NodeRuntimes attached, a
-// dist::Router fronting them over real loopback TCP, and an ordinary
-// ClientPool speaking the unchanged client protocol to the router.
+// (ctest label `dist`): three plain svc::Servers, a dist::Router fronting
+// them over real loopback TCP, and an ordinary ClientPool speaking the
+// unchanged client protocol to the router.
 // Covers replicate and stripe placement, write availability and read
 // correctness through a node fail/rejoin cycle (versioned stale-copy and
 // tombstone semantics), degraded stripe reconstruction, the strict write
 // gates (under-protected writes shed kRetryLater instead of acking),
 // router-restart version monotonicity, node-side newest-wins replica
-// application, the inline peer ops (PLACE / PEER_HEALTH / WEAR_REPORT),
-// and wear aggregation.
+// application, the inline peer ops (PEER_HEALTH / WEAR_REPORT), wear
+// aggregation, liveness that follows each node's serving state, and nodes
+// restarting on fresh ports under concurrent routed traffic.
 #include "dist/router.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mini_cluster.hpp"
@@ -297,33 +302,21 @@ TEST(RouterIntegration, PeerOpsAnswerInlineAndWearAggregates) {
   router.start();
   ASSERT_TRUE(await_live(router, 3));
 
-  // PLACE directly against a data node: full-ring successor order.
   svc::ClientConfig node_cfg;
   node_cfg.host = "127.0.0.1";
   node_cfg.port = cluster.specs()[0].port;
   svc::ClientConn conn(node_cfg);
+  // PEER_HEALTH: the node answers an empty request with its own id and
+  // serving state; like WEAR_REPORT, a request with a body is malformed.
   {
-    std::vector<std::uint8_t> body;
-    svc::encode_key_body("some-key", body);
-    const svc::Frame reply = conn.call(svc::Op::kPlace, std::move(body));
-    ASSERT_EQ(reply.status, svc::Status::kOk);
-    svc::PlacementBody placement;
-    ASSERT_TRUE(svc::decode_placement_body(reply.payload, placement));
-    EXPECT_EQ(placement.nodes.size(), 3u);
-  }
-  // PEER_HEALTH: the node answers with its own id and serving state.
-  {
-    svc::PeerHealthBody ping;
-    ping.node_id = 0xfffffffe;
-    ping.state = 1;
-    std::vector<std::uint8_t> body;
-    svc::encode_peer_health_body(ping, body);
-    const svc::Frame reply = conn.call(svc::Op::kPeerHealth, std::move(body));
+    const svc::Frame reply = conn.call(svc::Op::kPeerHealth, {});
     ASSERT_EQ(reply.status, svc::Status::kOk);
     svc::PeerHealthBody health;
     ASSERT_TRUE(svc::decode_peer_health_body(reply.payload, health));
     EXPECT_EQ(health.node_id, 1u);
     EXPECT_EQ(health.state, 1u);
+    EXPECT_EQ(conn.call(svc::Op::kPeerHealth, {0}).status,
+              svc::Status::kBadRequest);
   }
   // WEAR_REPORT: per-flash-server erase counters behind node 1.
   {
@@ -342,52 +335,182 @@ TEST(RouterIntegration, PeerOpsAnswerInlineAndWearAggregates) {
   EXPECT_NE(stats.find("\"wear\":["), std::string::npos);
   EXPECT_NE(stats.find("\"mode\":\"replicate\""), std::string::npos);
 
-  // The router's own front door answers PLACE and HEALTH too.
+  // The router's own front door answers HEALTH from its membership view.
   svc::ClientConfig router_cfg;
   router_cfg.host = "127.0.0.1";
   router_cfg.port = router.port();
   svc::ClientConn front(router_cfg);
-  {
-    std::vector<std::uint8_t> body;
-    svc::encode_key_body("some-key", body);
-    const svc::Frame reply = front.call(svc::Op::kPlace, std::move(body));
-    ASSERT_EQ(reply.status, svc::Status::kOk);
-    svc::PlacementBody placement;
-    ASSERT_TRUE(svc::decode_placement_body(reply.payload, placement));
-    EXPECT_EQ(placement.nodes.size(), 3u);
-  }
-  const std::string health = router.health_json();
+  const svc::Frame reply = front.call(svc::Op::kHealth, {});
+  ASSERT_EQ(reply.status, svc::Status::kOk);
+  const std::string health(reply.payload.begin(), reply.payload.end());
   EXPECT_NE(health.find("\"serving\":true"), std::string::npos);
   EXPECT_NE(health.find("\"live\":3"), std::string::npos);
 
   router.stop();
 }
 
-TEST(RouterIntegration, WearRouteOrdersWriteTargetsByWear) {
-  MiniCluster cluster;
-  RouterConfig cfg = test_router_config(cluster, RouteMode::kReplicate);
-  cfg.wear_route = true;
+TEST(RouterIntegration, LivenessFollowsTheNodesServingState) {
+  // A data node reports its own serving state in PEER_HEALTH, and the
+  // router counts it live only while that state is "serving": a node that
+  // listens while it recovers stays out of placement until it serves, and
+  // leaves again when it drains.
+  core::Chameleon system(small_system());
+  svc::ServerConfig server_cfg;
+  server_cfg.node_id = 1;
+  server_cfg.start_recovering = true;
+  svc::Server server(system, server_cfg);
+  server.start();
+
+  RouterConfig cfg;
+  PeerSpec spec;
+  spec.id = 1;
+  spec.port = server.port();
+  cfg.nodes = {spec};
+  cfg.replicas = 1;
+  cfg.heartbeat_interval = 10 * kMillisecond;
+  cfg.membership.suspect_after = 2;
+  cfg.membership.dead_after = 3;
+  cfg.version_seed = 1;
   Router router(cfg);
   router.start();
-  ASSERT_TRUE(await_live(router, 3));
 
-  // Inject a wear view that makes node 3 pristine and node 1 worn out; the
-  // write fan-out must prefer the less-worn nodes regardless of ring order.
-  for (std::uint32_t id = 1; id <= 3; ++id) {
-    NodeWear wear;
-    wear.node_id = id;
-    wear.total_erases = (4 - id) * 1000;  // node 1 most worn
-    router.set_wear_for_test(wear);
+  svc::ClientConfig node_cfg;
+  node_cfg.host = "127.0.0.1";
+  node_cfg.port = server.port();
+  svc::ClientConn conn(node_cfg);
+  const svc::Frame reply = conn.call(svc::Op::kPeerHealth, {});
+  ASSERT_EQ(reply.status, svc::Status::kOk);
+  svc::PeerHealthBody health;
+  ASSERT_TRUE(svc::decode_peer_health_body(reply.payload, health));
+  EXPECT_EQ(health.state,
+            static_cast<std::uint8_t>(svc::ServingState::kRecovering));
+
+  // The node answers every probe, as recovering, so its lease never starts:
+  // it settles to dead and stays out through several more heartbeats.
+  ASSERT_TRUE(await(
+      [&] { return router.membership().state_of(1) == PeerState::kDead; },
+      "recovering node settled as dead"));
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_TRUE(router.membership().live_ids().empty());
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  for (int i = 0; i < 20; ++i) {
-    const auto targets =
-        router.write_targets("wear-key-" + std::to_string(i));
-    ASSERT_EQ(targets.size(), 2u);
-    // The least-worn node always leads the fan-out; the most-worn one
-    // never does.
-    EXPECT_EQ(targets[0], 3u);
-  }
+  EXPECT_FALSE(router.serving());
+  EXPECT_EQ(router.route_put("k", value_for(1, 16)),
+            svc::Status::kRetryLater);
+
+  server.set_serving();
+  ASSERT_TRUE(await_live(router, 1));
+  EXPECT_EQ(router.route_put("k", value_for(1, 16)), svc::Status::kOk);
+
+  server.request_stop();
+  ASSERT_TRUE(await_live(router, 0));
+  server.wait();
   router.stop();
+}
+
+/// Write `port` to `path` through a rename, as a restarted node republishes
+/// its port, so a concurrent reader never sees a half-written file.
+void publish_port(const std::string& path, std::uint16_t port) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp);
+    out << port << "\n";
+  }
+  ASSERT_EQ(std::rename(tmp.c_str(), path.c_str()), 0);
+}
+
+TEST(RouterIntegration, NodesRestartOnFreshPortsUnderConcurrentTraffic) {
+  // The router rebuilds a node's client pool when the node's port file
+  // names a new port. Other router threads may still be inside
+  // ClientPool::call on the old pool at that moment, so the rebuild must
+  // not free the pool under them. Here four threads route traffic while one
+  // node after another restarts on a fresh ephemeral port every ~20 ms.
+  constexpr std::size_t kNodes = 3;
+  std::vector<TestNode> nodes(kNodes);
+  std::vector<std::string> port_files;
+  const auto boot = [&](std::size_t i) {
+    nodes[i].system = std::make_unique<core::Chameleon>(small_system());
+    svc::ServerConfig server_cfg;
+    server_cfg.node_id = static_cast<std::uint32_t>(i + 1);
+    server_cfg.workers = 1;
+    nodes[i].server = std::make_unique<svc::Server>(*nodes[i].system,
+                                                     server_cfg);
+    nodes[i].server->start();
+    publish_port(port_files[i], nodes[i].server->port());
+  };
+  RouterConfig cfg;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    port_files.push_back(::testing::TempDir() + "router_restart_node" +
+                         std::to_string(i + 1) + "-port.txt");
+    std::remove(port_files.back().c_str());
+    boot(i);
+    PeerSpec spec;
+    spec.id = static_cast<std::uint32_t>(i + 1);
+    spec.port_file = port_files.back();
+    cfg.nodes.push_back(spec);
+  }
+  cfg.replicas = 2;
+  cfg.heartbeat_interval = 5 * kMillisecond;
+  cfg.membership.suspect_after = 1;
+  cfg.membership.dead_after = 2;
+  cfg.version_seed = 1;
+  Router router(cfg);
+  router.start();
+  ASSERT_TRUE(await_live(router, kNodes));
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> puts_ok{0};
+  std::atomic<std::uint64_t> unexpected{0};  ///< kError/kBadRequest/throws
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&, t] {
+      std::vector<std::uint8_t> got;
+      for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        const std::string key = "churn-" + std::to_string((i * 4 + t) % 64);
+        try {
+          const svc::Status status =
+              (i % 2 == 0) ? router.route_put(key, value_for(i, 64))
+                           : router.route_get(key, got);
+          if (status == svc::Status::kOk && i % 2 == 0) ++puts_ok;
+          if (status == svc::Status::kError ||
+              status == svc::Status::kBadRequest) {
+            ++unexpected;
+          }
+        } catch (const std::exception&) {
+          ++unexpected;
+        }
+      }
+    });
+  }
+
+  int restarts = 0;
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::size_t victim = static_cast<std::size_t>(restarts) % kNodes;
+    nodes[victim].stop();
+    boot(victim);
+    ++restarts;
+  }
+  stop.store(true);
+  for (std::thread& worker : workers) worker.join();
+
+  EXPECT_GE(restarts, 20);
+  EXPECT_GT(puts_ok.load(), 0u);
+  EXPECT_EQ(unexpected.load(), 0u);
+
+  // Every node is back on its latest port: routing converges again.
+  ASSERT_TRUE(await_live(router, kNodes));
+  ASSERT_TRUE(await(
+      [&] { return router.route_put("after", value_for(7, 64)) ==
+                   svc::Status::kOk; },
+      "a put after the churn"));
+  std::vector<std::uint8_t> got;
+  ASSERT_EQ(router.route_get("after", got), svc::Status::kOk);
+  EXPECT_EQ(got, value_for(7, 64));
+  router.stop();
+  for (TestNode& node : nodes) node.stop();
+  for (const std::string& path : port_files) std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Codec tests for the inter-node protocol extension (ctest label `dist`):
-// round-trips and malformed-input rejection for the five peer-op bodies
-// (REPLICATE, STRIPE_WRITE, PLACE, PEER_HEALTH, WEAR_REPORT), the stored
-// shard and replica blobs, and the shard-key namespace.
+// round-trips and malformed-input rejection for the four peer-op bodies
+// (REPLICATE, STRIPE_WRITE, PEER_HEALTH, WEAR_REPORT), the stored shard and
+// replica blobs, and the shard-key namespace.
 #include "svc/wire.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@ namespace chameleon::svc {
 namespace {
 
 TEST(WirePeerOps, NewOpsHaveNames) {
-  EXPECT_STREQ(op_name(Op::kPlace), "place");
   EXPECT_STREQ(op_name(Op::kReplicate), "replicate");
   EXPECT_STREQ(op_name(Op::kStripeWrite), "stripe_write");
   EXPECT_STREQ(op_name(Op::kPeerHealth), "peer_health");
@@ -21,7 +20,7 @@ TEST(WirePeerOps, NewOpsHaveNames) {
 }
 
 TEST(WirePeerOps, PeerOpFramesRoundTripThroughDecoder) {
-  // Peer ops ride ordinary v2 frames: CRC-framed, decodable by the same
+  // Peer ops ride ordinary frames: CRC-framed, decodable by the same
   // strict FrameDecoder every session uses.
   Frame frame{Op::kReplicate, Status::kOk, 42, {1, 2, 3}};
   std::vector<std::uint8_t> wire;
@@ -189,35 +188,22 @@ TEST(ReplicaBlob, HigherVersionWinsIsWellOrdered) {
   }
 }
 
-TEST(PlacementCodec, RoundTripAndExactLength) {
-  PlacementBody body;
-  body.view_version = 9;
-  body.nodes = {3, 1, 2};
-  std::vector<std::uint8_t> wire;
-  encode_placement_body(body, wire);
-  PlacementBody out;
-  ASSERT_TRUE(decode_placement_body(wire, out));
-  EXPECT_EQ(out.view_version, 9u);
-  EXPECT_EQ(out.nodes, (std::vector<std::uint32_t>{3, 1, 2}));
-  wire.pop_back();
-  EXPECT_FALSE(decode_placement_body(wire, out));
-  wire.push_back(0);
-  wire.push_back(0);
-  EXPECT_FALSE(decode_placement_body(wire, out));
-}
-
 TEST(PeerHealthCodec, RoundTripAndExactLength) {
   PeerHealthBody body;
   body.node_id = 2;
   body.state = 1;
-  body.view_version = 12;
   std::vector<std::uint8_t> wire;
   encode_peer_health_body(body, wire);
+  EXPECT_EQ(wire.size(), 5u);  // u32 node_id | u8 state
   PeerHealthBody out;
   ASSERT_TRUE(decode_peer_health_body(wire, out));
   EXPECT_EQ(out.node_id, 2u);
   EXPECT_EQ(out.state, 1u);
-  EXPECT_EQ(out.view_version, 12u);
+  wire.push_back(0);  // trailing garbage
+  EXPECT_FALSE(decode_peer_health_body(wire, out));
+  wire.pop_back();
+  wire.back() = 3;  // no serving state has that number
+  EXPECT_FALSE(decode_peer_health_body(wire, out));
   wire.pop_back();
   EXPECT_FALSE(decode_peer_health_body(wire, out));
 }

@@ -13,7 +13,13 @@
 //      restart, DIGEST again; the two fingerprints must be identical
 //   5. write a JSON report and exit nonzero on any violation: acked-write
 //      loss (loadgen exit), digest mismatch, a kill that missed live load,
-//      or a recovery that never became serving
+//      a recovery that never became serving, or a supervised process that
+//      died on its own
+//
+// While the load runs, chaosd also watches every process it did not kill
+// itself. One that exits unprompted (a crash) fails the run at once: the
+// loadgen is killed rather than left retrying against a dead port, and the
+// report's "unexpected_exit" names the process and its exit signal.
 //
 // The kill schedule is a fault::FaultSchedule of kKill9 events generated
 // from `seed` (epochs map to wall milliseconds via epoch_ms), so a failing
@@ -68,8 +74,10 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
@@ -136,12 +144,75 @@ bool child_alive(pid_t pid, int* status) {
   return r == 0;
 }
 
-int wait_exit(pid_t pid) {
-  int status = 0;
-  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {}
+/// A waitpid status as one exit code: the process's own, or 128 + signal.
+int exit_code_of(int status) {
   if (WIFEXITED(status)) return WEXITSTATUS(status);
   if (WIFSIGNALED(status)) return 128 + WTERMSIG(status);
   return -1;
+}
+
+int wait_exit(pid_t pid) {
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {}
+  return exit_code_of(status);
+}
+
+/// A supervised process that exited although chaosd had not killed it.
+struct UnexpectedExit {
+  std::string process;  ///< "server", "router" or "node<id>"
+  int exit_code = 0;    ///< its exit status, when it exited by itself
+  int signal = 0;       ///< the signal that ended it (SIGSEGV, SIGABRT, ...)
+};
+
+/// Supervised processes by name, with the pid each runs under now.
+using Watched = std::vector<std::pair<std::string, pid_t>>;
+
+/// The first process in `watched` that has exited. WNOWAIT leaves it
+/// waitable, so teardown's wait_exit() still reaps it.
+std::optional<UnexpectedExit> first_exit(const Watched& watched) {
+  for (const auto& [name, pid] : watched) {
+    siginfo_t info{};
+    if (::waitid(P_PID, static_cast<id_t>(pid), &info,
+                 WEXITED | WNOHANG | WNOWAIT) != 0 ||
+        info.si_pid == 0) {
+      continue;
+    }
+    UnexpectedExit exit;
+    exit.process = name;
+    if (info.si_code == CLD_EXITED) {
+      exit.exit_code = info.si_status;
+    } else {
+      exit.signal = info.si_status;
+    }
+    return exit;
+  }
+  return std::nullopt;
+}
+
+/// Wait for the loadgen to finish while watching the processes it talks
+/// to. When one of them has died (`died` set before the call, or found
+/// here), the loadgen would only retry against a dead port: kill it and
+/// return at once. Returns the loadgen's exit code (128 + signal if killed).
+int wait_loadgen(pid_t loadgen_pid, const Watched& watched,
+                 std::optional<UnexpectedExit>& died) {
+  for (;;) {
+    int status = 0;
+    if (!child_alive(loadgen_pid, &status)) return exit_code_of(status);
+    if (!died) died = first_exit(watched);
+    if (died) {
+      ::kill(loadgen_pid, SIGKILL);
+      return wait_exit(loadgen_pid);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+}
+
+/// The summary line's note on an unexpected exit ("" when there was none).
+std::string death_note(const std::optional<UnexpectedExit>& died) {
+  if (!died) return "";
+  return ", " + died->process + " died (exit " +
+         std::to_string(died->exit_code) + ", signal " +
+         std::to_string(died->signal) + ")";
 }
 
 /// Poll `path` until it holds a parseable port number.
@@ -229,7 +300,8 @@ std::string render_report(const std::string& mode, std::uint64_t seed,
                           const std::string& digest_before,
                           const std::string& digest_after, bool digest_match,
                           const std::string& schedule_text,
-                          const std::vector<KillCycle>& cycles) {
+                          const std::vector<KillCycle>& cycles,
+                          const std::optional<UnexpectedExit>& died) {
   std::string report;
   report.reserve(2048);
   report += "{\n  \"schema_version\": 1,\n  \"tool\": \"chameleon_chaosd\"";
@@ -247,6 +319,15 @@ std::string render_report(const std::string& mode, std::uint64_t seed,
   json_append_escaped(report, digest_after.c_str());
   report += ",\n  \"digest_match\": ";
   report += digest_match ? "true" : "false";
+  report += ",\n  \"unexpected_exit\": ";
+  if (died) {
+    report += "{ \"process\": ";
+    json_append_escaped(report, died->process.c_str());
+    report += ", \"exit_code\": " + std::to_string(died->exit_code);
+    report += ", \"signal\": " + std::to_string(died->signal) + " }";
+  } else {
+    report += "null";
+  }
   report += ",\n  \"schedule\": ";
   json_append_escaped(report, schedule_text.c_str());
   report += ",\n  \"cycles\": [";
@@ -311,8 +392,8 @@ int run_dist(const Config& config, const std::string& self_dir) {
     throw std::runtime_error("chaosd: cannot create dir " + dir);
   }
 
-  // Per-node scratch layout + the id@host:@/port/file peer specs every
-  // process shares, so ephemeral-port restarts propagate automatically.
+  // Per-node directory layout + the id@host:@/port/file specs the router
+  // resolves, so ephemeral-port restarts propagate automatically.
   std::vector<std::string> data_dirs, port_files, logs, specs;
   for (std::size_t i = 0; i < node_count; ++i) {
     const std::string n = std::to_string(i + 1);
@@ -329,20 +410,12 @@ int run_dist(const Config& config, const std::string& self_dir) {
   ::unlink(router_port_file.c_str());
 
   const auto node_args = [&](std::size_t i) {
-    std::string peers;
-    for (std::size_t j = 0; j < node_count; ++j) {
-      if (j == i) continue;
-      if (!peers.empty()) peers += ',';
-      peers += specs[j];
-    }
     return std::vector<std::string>{
         server_bin,
         "listen=" + host + ":0",
         "port_file=" + port_files[i],
         "data_dir=" + data_dirs[i],
         "node_id=" + std::to_string(i + 1),
-        "peers=" + peers,
-        "heartbeat_ms=25",
         "workers=" + config.get_string("workers", "2"),
         "servers=" + config.get_string("servers", "8"),
         "capacity_mb=" + config.get_string("capacity_mb", "64"),
@@ -412,19 +485,33 @@ int run_dist(const Config& config, const std::string& self_dir) {
   const Nanos load_start = now_ns();
   const pid_t loadgen_pid = spawn(loadgen_cmd, loadgen_log);
 
+  // The router and the current incarnation of every node: chaosd's own
+  // kills happen between these checks, and each victim is reaped and
+  // replaced before the next one.
+  const auto watched = [&] {
+    Watched out = {{"router", router_pid}};
+    for (std::size_t i = 0; i < node_count; ++i) {
+      out.emplace_back("node" + std::to_string(i + 1), node_pids[i]);
+    }
+    return out;
+  };
+
   std::vector<KillCycle> cycles;
   bool loadgen_done = false;
   int loadgen_status = 0;
+  std::optional<UnexpectedExit> died;
   for (const fault::FaultEvent& event : schedule.events) {
     if (event.kind != fault::FaultKind::kKill9) continue;
     KillCycle cycle;
     cycle.scheduled_ms = static_cast<std::uint64_t>(event.at) * epoch_ms;
     const Nanos fire_at =
         load_start + static_cast<Nanos>(cycle.scheduled_ms) * kMillisecond;
-    while (now_ns() < fire_at && !loadgen_done) {
+    while (now_ns() < fire_at && !loadgen_done && !died) {
       if (!child_alive(loadgen_pid, &loadgen_status)) loadgen_done = true;
+      died = first_exit(watched());
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
+    if (died) break;
     cycle.under_load = !loadgen_done;
 
     const std::size_t victim =
@@ -438,9 +525,8 @@ int run_dist(const Config& config, const std::string& self_dir) {
     const Nanos down_start = now_ns();
     ::kill(node_pids[victim], SIGKILL);
     wait_exit(node_pids[victim]);
-    // Fresh ephemeral port on restart: the router and the surviving peers
-    // re-resolve the victim's port file, which is exactly the path a real
-    // redeploy takes.
+    // Fresh ephemeral port on restart: the router re-resolves the victim's
+    // port file, which is exactly the path a real redeploy takes.
     ::unlink(port_files[victim].c_str());
     node_pids[victim] = spawn(node_args(victim), logs[victim]);
     const std::uint16_t new_port =
@@ -461,15 +547,8 @@ int run_dist(const Config& config, const std::string& self_dir) {
     if (!cycles.back().recovered) break;
   }
 
-  if (!loadgen_done) {
-    loadgen_status = wait_exit(loadgen_pid);
-  } else {
-    if (WIFEXITED(loadgen_status)) {
-      loadgen_status = WEXITSTATUS(loadgen_status);
-    } else if (WIFSIGNALED(loadgen_status)) {
-      loadgen_status = 128 + WTERMSIG(loadgen_status);
-    }
-  }
+  loadgen_status = loadgen_done ? exit_code_of(loadgen_status)
+                                : wait_loadgen(loadgen_pid, watched(), died);
 
   // Quiesced aggregate digest across one more node crash: the router folds
   // every node's DIGEST, so this asserts the WHOLE CLUSTER recovered its
@@ -478,7 +557,7 @@ int run_dist(const Config& config, const std::string& self_dir) {
   std::string digest_after;
   bool digest_match = false;
   bool final_recovered = false;
-  if (cycles.empty() || cycles.back().recovered) {
+  if (!died && (cycles.empty() || cycles.back().recovered)) {
     digest_before = digest_with_retry(probe, recovery_timeout);
     const std::size_t victim =
         static_cast<std::size_t>(victim_rng.next() % node_count);
@@ -508,21 +587,22 @@ int run_dist(const Config& config, const std::string& self_dir) {
     if (c.recovered) ++recovered_count;
     max_downtime_ms = std::max(max_downtime_ms, c.downtime_ms);
   }
-  const bool ok = loadgen_status == 0 && digest_match && final_recovered &&
-                  recovered_count == cycles.size() &&
+  const bool ok = !died && loadgen_status == 0 && digest_match &&
+                  final_recovered && recovered_count == cycles.size() &&
                   cycles.size() == kills && kills_under_load == kills;
 
   const std::string report = render_report(
       "dist", seed, ok, loadgen_status, kills, kills_under_load,
       max_downtime_ms, digest_before, digest_after, digest_match,
-      schedule.serialize(), cycles);
+      schedule.serialize(), cycles, died);
   if (write_report(report, report_out) != 0) return 1;
   std::fprintf(stderr,
                "chaosd[dist]: %s — %zu/%zu kills under load, loadgen exit "
-               "%d, aggregate digest %s, max downtime %llums\n",
+               "%d, aggregate digest %s, max downtime %llums%s\n",
                ok ? "PASS" : "FAIL", kills_under_load, kills, loadgen_status,
                digest_match ? "match" : "MISMATCH",
-               static_cast<unsigned long long>(max_downtime_ms));
+               static_cast<unsigned long long>(max_downtime_ms),
+               death_note(died).c_str());
   return ok ? 0 : 1;
 }
 
@@ -617,19 +697,24 @@ int main(int argc, char** argv) {
     const Nanos load_start = now_ns();
     const pid_t loadgen_pid = spawn(loadgen_cmd, loadgen_log);
 
+    const auto watched = [&] { return Watched{{"server", server_pid}}; };
+
     std::vector<KillCycle> cycles;
     bool loadgen_done = false;
     int loadgen_status = 0;
+    std::optional<UnexpectedExit> died;
     for (const fault::FaultEvent& event : schedule.events) {
       if (event.kind != fault::FaultKind::kKill9) continue;
       KillCycle cycle;
       cycle.scheduled_ms = static_cast<std::uint64_t>(event.at) * epoch_ms;
       const Nanos fire_at =
           load_start + static_cast<Nanos>(cycle.scheduled_ms) * kMillisecond;
-      while (now_ns() < fire_at && !loadgen_done) {
+      while (now_ns() < fire_at && !loadgen_done && !died) {
         if (!child_alive(loadgen_pid, &loadgen_status)) loadgen_done = true;
+        died = first_exit(watched());
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
+      if (died) break;
       cycle.under_load = !loadgen_done;
 
       std::fprintf(stderr, "chaosd: kill -9 at +%llums (under_load=%d)\n",
@@ -647,16 +732,9 @@ int main(int argc, char** argv) {
       if (!cycles.back().recovered) break;
     }
 
-    if (!loadgen_done) {
-      loadgen_status = wait_exit(loadgen_pid);
-    } else {
-      // Reap properly if the WNOHANG probe caught the exit.
-      if (WIFEXITED(loadgen_status)) {
-        loadgen_status = WEXITSTATUS(loadgen_status);
-      } else if (WIFSIGNALED(loadgen_status)) {
-        loadgen_status = 128 + WTERMSIG(loadgen_status);
-      }
-    }
+    // The WNOHANG probe above already reaped a loadgen that finished.
+    loadgen_status = loadgen_done ? exit_code_of(loadgen_status)
+                                  : wait_loadgen(loadgen_pid, watched(), died);
 
     // Quiesced digest check: the recovered state after one more crash must
     // fingerprint identically — recovery is exact, not approximate.
@@ -664,7 +742,7 @@ int main(int argc, char** argv) {
     std::string digest_after;
     bool digest_match = false;
     bool final_recovered = false;
-    if (cycles.empty() || cycles.back().recovered) {
+    if (!died && (cycles.empty() || cycles.back().recovered)) {
       digest_before = probe.digest();
       ::kill(server_pid, SIGKILL);
       wait_exit(server_pid);
@@ -688,21 +766,22 @@ int main(int argc, char** argv) {
       if (c.recovered) ++recovered_count;
       max_downtime_ms = std::max(max_downtime_ms, c.downtime_ms);
     }
-    const bool ok = loadgen_status == 0 && digest_match && final_recovered &&
-                    recovered_count == cycles.size() &&
+    const bool ok = !died && loadgen_status == 0 && digest_match &&
+                    final_recovered && recovered_count == cycles.size() &&
                     cycles.size() == kills && kills_under_load == kills;
 
     const std::string report = render_report(
         "single", seed, ok, loadgen_status, kills, kills_under_load,
         max_downtime_ms, digest_before, digest_after, digest_match,
-        schedule.serialize(), cycles);
+        schedule.serialize(), cycles, died);
     if (write_report(report, report_out) != 0) return 1;
     std::fprintf(stderr,
                  "chaosd: %s — %zu/%zu kills under load, loadgen exit %d, "
-                 "digest %s, max downtime %llums\n",
+                 "digest %s, max downtime %llums%s\n",
                  ok ? "PASS" : "FAIL", kills_under_load, kills,
                  loadgen_status, digest_match ? "match" : "MISMATCH",
-                 static_cast<unsigned long long>(max_downtime_ms));
+                 static_cast<unsigned long long>(max_downtime_ms),
+                 death_note(died).c_str());
     return ok ? 0 : 1;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "chameleon_chaosd: %s\n", error.what());

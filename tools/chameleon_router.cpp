@@ -3,7 +3,9 @@
 //
 //   chameleon_router --listen=HOST:PORT --nodes=SPEC,SPEC,SPEC [key=val]
 //
-// Flags are key=value pairs; a leading "--" is accepted and stripped.
+// Flags are key=value pairs; a leading "--" is accepted and stripped. A flag
+// the run never reads (misspelt or retired) gets one warning on stderr and
+// is otherwise ignored.
 //
 //   listen=127.0.0.1:7440   host:port to bind (port 0 = ephemeral)
 //   nodes=SPEC,...          the data nodes, as id@host:port or
@@ -12,12 +14,11 @@
 //   replicas=2              replicate mode: copies per key
 //   ec_k=2 ec_m=1           stripe mode: data/parity shards per stripe
 //   ring_vnodes=64          virtual nodes per member on the hash ring
-//   heartbeat_ms=50         node liveness probe cadence
+//   heartbeat_ms=50         node liveness probe (PEER_HEALTH) cadence
 //   heartbeat_timeout_ms=250  socket timeout of one probe
 //   suspect_after=2         missed probes before a node turns suspect
 //   dead_after=4            missed probes before a node leaves the live set
 //   wear_poll_ms=0          WEAR_REPORT aggregation cadence (0 = off)
-//   wear_route=0            order write fan-out by ascending node wear
 //   io_timeout_ms=2000      socket timeout of data-plane RPCs
 //   max_sessions=64         concurrent client connections
 //   version_seed=0          starting write version; 0 = wall-clock floor
@@ -104,13 +105,18 @@ int main(int argc, char** argv) {
         static_cast<std::uint32_t>(config.get_int("dead_after", 4));
     router_config.wear_poll_interval =
         config.get_int("wear_poll_ms", 0) * kMillisecond;
-    router_config.wear_route = config.get_bool("wear_route", false);
     router_config.io_timeout =
         config.get_int("io_timeout_ms", 2'000) * kMillisecond;
     router_config.max_sessions =
         static_cast<std::size_t>(config.get_int("max_sessions", 64));
     router_config.version_seed =
         static_cast<std::uint64_t>(config.get_int("version_seed", 0));
+    const std::string port_file = config.get_string("port_file", "");
+    // Every flag has been read by now; whatever is left did nothing.
+    for (const std::string& key : config.unread_keys()) {
+      std::fprintf(stderr, "chameleon_router: warning: ignored flag %s=%s\n",
+                   key.c_str(), config.entries().at(key).c_str());
+    }
 
     dist::Router router(router_config);
     router.start();
@@ -121,7 +127,6 @@ int main(int argc, char** argv) {
         router_config.nodes.size());
     std::fflush(stdout);
 
-    const std::string port_file = config.get_string("port_file", "");
     if (!port_file.empty()) {
       std::ofstream out(port_file);
       out << router.port() << "\n";

@@ -5,7 +5,9 @@
 //
 // Flags are key=value pairs; a leading "--" is accepted and stripped, so both
 // `--workers=4` and `workers=4` work. `--config=FILE` loads key=value lines
-// (# comments allowed) first; command-line flags override the file.
+// (# comments allowed) first; command-line flags override the file. A flag
+// the run never reads (misspelt, retired, or unused in this mode) gets one
+// warning on stderr and is otherwise ignored.
 //
 //   listen=127.0.0.1:7421   host:port to bind (port 0 = ephemeral)
 //   workers=2               shard worker threads under the store
@@ -23,13 +25,9 @@
 //   epoch_every_ops=10000   advance one balancing epoch every N data ops
 //   metrics=1               enable the metrics registry (METRICS op)
 //   port_file=PATH          write the bound port (for ephemeral-port CI)
-//   node_id=0               distributed mode: this node's id on the cluster
-//                           hash ring (docs/DISTRIBUTED.md)
-//   peers=SPEC,SPEC         distributed mode: every OTHER node, as
-//                           id@host:port or id@host:@/port/file specs;
-//                           attaches a dist::NodeRuntime (PLACE/PEER_HEALTH
-//                           answered inline, peer heartbeat monitor)
-//   heartbeat_ms=50         peer heartbeat cadence (distributed mode)
+//   node_id=0               this node's id on a chameleon_router's hash
+//                           ring, echoed in PEER_HEALTH and WEAR_REPORT
+//                           (docs/DISTRIBUTED.md)
 //   data_dir=PATH           durability: WAL + checkpoints live here; on boot
 //                           the newest checkpoint is restored and the WAL
 //                           tail replayed (docs/DURABILITY.md)
@@ -68,7 +66,6 @@
 
 #include "common/config.hpp"
 #include "core/chameleon.hpp"
-#include "dist/node.hpp"
 #include "durability/manager.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -156,6 +153,15 @@ int main(int argc, char** argv) {
     core::Chameleon system(sys_config);
 
     const std::string data_dir = config.get_string("data_dir", "");
+    durability::DurabilityConfig dur_config;
+    if (!data_dir.empty()) {
+      dur_config.dir = data_dir;
+      dur_config.fsync = durability::fsync_policy_from_name(
+          config.get_string("fsync", "always"));
+      dur_config.checkpoint_every_epochs = static_cast<std::uint32_t>(
+          config.get_int("checkpoint_every_epochs", 1));
+      dur_config.group_commit = config.get_bool("group_commit", true);
+    }
 
     svc::ServerConfig server_config;
     server_config.host = listen.substr(0, colon);
@@ -202,39 +208,22 @@ int main(int argc, char** argv) {
     // darkness. Once the WAL replay finishes, set_serving() opens the gates.
     server_config.start_recovering = !data_dir.empty();
 
-    svc::Server server(system, server_config);
-
-    // Distributed mode: attach the node runtime BEFORE the server listens,
-    // so the first arriving PLACE/PEER_HEALTH already has a handler.
-    std::unique_ptr<dist::NodeRuntime> node_runtime;
-    const std::string peers = config.get_string("peers", "");
-    if (!peers.empty()) {
-      dist::NodeConfig node_config;
-      node_config.node_id = server_config.node_id;
-      node_config.peers = dist::parse_peer_list(peers);
-      node_config.heartbeat_interval =
-          config.get_int("heartbeat_ms", 50) * kMillisecond;
-      node_runtime = std::make_unique<dist::NodeRuntime>(
-          node_config, [&server]() -> std::uint8_t {
-            return static_cast<std::uint8_t>(server.state());
-          });
-      server.set_peer_handler(node_runtime.get());
+    const std::string port_file = config.get_string("port_file", "");
+    // Every flag has been read by now; whatever is left did nothing.
+    for (const std::string& key : config.unread_keys()) {
+      std::fprintf(stderr, "chameleon_server: warning: ignored flag %s=%s\n",
+                   key.c_str(), config.entries().at(key).c_str());
     }
 
+    svc::Server server(system, server_config);
     server.start();
-    if (node_runtime) node_runtime->start();
     std::printf("chameleon_server listening on %s:%u (%u workers, %u flash "
                 "servers)%s\n",
                 server.host().c_str(), server.port(), server_config.workers,
                 servers,
                 server_config.start_recovering ? ", recovering" : "");
-    if (node_runtime) {
-      std::printf("distributed mode: node %u, %zu peers\n",
-                  server_config.node_id, node_runtime->config().peers.size());
-    }
     std::fflush(stdout);
 
-    const std::string port_file = config.get_string("port_file", "");
     if (!port_file.empty()) {
       std::ofstream out(port_file);
       out << server.port() << "\n";
@@ -246,13 +235,6 @@ int main(int argc, char** argv) {
     // mutation from here on. Data ops stay shed until this completes.
     std::unique_ptr<durability::Manager> durable;
     if (!data_dir.empty()) {
-      durability::DurabilityConfig dur_config;
-      dur_config.dir = data_dir;
-      dur_config.fsync = durability::fsync_policy_from_name(
-          config.get_string("fsync", "always"));
-      dur_config.checkpoint_every_epochs = static_cast<std::uint32_t>(
-          config.get_int("checkpoint_every_epochs", 1));
-      dur_config.group_commit = config.get_bool("group_commit", true);
       durable = std::make_unique<durability::Manager>(system, dur_config);
       const durability::RecoveryReport report = durable->open();
       std::printf(
@@ -290,13 +272,6 @@ int main(int argc, char** argv) {
       std::fflush(stdout);
     }
     server.wait();
-    // Detach distributed-mode state before teardown: stop heartbeating
-    // peers and drop the server's handler pointer while the runtime is
-    // still alive.
-    if (node_runtime) {
-      node_runtime->stop();
-      server.set_peer_handler(nullptr);
-    }
     // The durability manager (and its group-commit engine) is destroyed when
     // main returns — after the server object. Drop the server's pointer now
     // that the serving phase is over so the destructor's second wait() holds
