@@ -1,5 +1,6 @@
 #include "common/config.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <stdexcept>
@@ -27,11 +28,12 @@ bool parse_bool(const std::string& v) {
 
 void Config::parse_args(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
-    const std::string_view tok = argv[i];
+    std::string_view tok = argv[i];
+    tok.remove_prefix(std::min(tok.find_first_not_of('-'), tok.size()));
     const auto eq = tok.find('=');
     if (eq == std::string_view::npos || eq == 0) {
       throw std::invalid_argument("Config: expected key=value, got '" +
-                                  std::string(tok) + "'");
+                                  std::string(argv[i]) + "'");
     }
     set(std::string(tok.substr(0, eq)), std::string(tok.substr(eq + 1)));
   }

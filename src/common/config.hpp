@@ -17,7 +17,8 @@ class Config {
  public:
   Config() = default;
 
-  /// Parse "key=value" tokens (e.g. from argv). Unrecognized tokens throw.
+  /// Parse "key=value" tokens from argv[1..argc), so "--key=value" works
+  /// too: leading dashes are stripped. A token without a key or '=' throws.
   void parse_args(int argc, const char* const* argv);
   void set(std::string key, std::string value);
 

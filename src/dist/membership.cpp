@@ -51,9 +51,12 @@ const Membership::Entry* Membership::find_locked(std::uint32_t id) const {
 
 void Membership::transition_locked(Entry& entry, PeerState next) {
   if (entry.state == next) return;
-  if (entry.state == PeerState::kDead && next == PeerState::kAlive) {
-    ++entry.rejoins;
-    ++rejoins_;
+  if (next == PeerState::kAlive) {
+    if (entry.state == PeerState::kDead && entry.was_alive) {
+      ++entry.rejoins;
+      ++rejoins_;
+    }
+    entry.was_alive = true;
   }
   entry.state = next;
   ++transitions_;

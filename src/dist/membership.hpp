@@ -13,7 +13,10 @@
 //   kAlive   --misses >= suspect_after--> kSuspect
 //   kSuspect --misses >= dead_after-->    kDead
 //   kSuspect --ok--> kAlive                    (blip absorbed; not a rejoin)
-//   kDead    --ok--> kAlive                    (rejoin; counted)
+//   kDead    --ok--> kAlive                    (rejoin, if alive before)
+//
+// A peer that never answered settles kUnknown -> kDead after dead_after
+// misses; its first answer is then its arrival, not a rejoin.
 //
 // Counting misses instead of wall-clock timeouts keeps every transition a
 // deterministic function of the probe outcome sequence, which is what the
@@ -80,7 +83,8 @@ class Membership {
     std::uint32_t consecutive_misses = 0;
     std::uint64_t heartbeats_ok = 0;
     std::uint64_t heartbeats_missed = 0;
-    std::uint64_t rejoins = 0;  ///< kDead -> kAlive transitions
+    std::uint64_t rejoins = 0;  ///< kDead -> kAlive after an earlier kAlive
+    bool was_alive = false;     ///< reached kAlive at least once
   };
 
   Entry* find_locked(std::uint32_t id);

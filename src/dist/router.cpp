@@ -78,14 +78,14 @@ RouteMode route_mode_from_name(const std::string& name) {
                               "' (expected replicate|stripe)");
 }
 
-/// Data-plane access to one node: the lazily (re)built client pool plus the
-/// port it was built against, so a node restarting on a different ephemeral
-/// port gets a fresh pool. Guarded by pools_mutex_. The pool is shared: a
-/// rebuild only drops the table's reference, and a caller still inside
-/// ClientPool::call on the old pool keeps it alive until it returns.
+/// Data-plane access to one node: a client pool built from the node's port
+/// when there is none, and dropped when a call through it fails, so a node
+/// restarting on a different ephemeral port gets a fresh pool on the next
+/// call. Guarded by pools_mutex_. The pool is shared: dropping it only drops
+/// the table's reference, and a caller still inside ClientPool::call on the
+/// old pool keeps it alive until it returns.
 struct Router::NodePool {
   PeerSpec spec;
-  std::uint16_t port = 0;
   std::shared_ptr<svc::ClientPool> pool;
 };
 
@@ -158,19 +158,26 @@ std::shared_ptr<svc::ClientPool> Router::pool_for(std::uint32_t id) {
   const auto it = pools_.find(id);
   if (it == pools_.end()) return nullptr;
   NodePool& np = *it->second;
+  if (np.pool) return np.pool;
   const auto resolved = resolve_port(np.spec);
   if (!resolved.has_value()) return nullptr;
-  if (!np.pool || np.port != *resolved) {
-    svc::ClientConfig cc;
-    cc.host = np.spec.host;
-    cc.port = *resolved;
-    cc.retry = config_.node_retry;
-    cc.max_payload = config_.max_payload;
-    cc.default_io_timeout = config_.io_timeout;
-    np.pool = std::make_shared<svc::ClientPool>(cc, config_.pool_size);
-    np.port = *resolved;
-  }
+  svc::ClientConfig cc;
+  cc.host = np.spec.host;
+  cc.port = *resolved;
+  cc.retry = config_.node_retry;
+  cc.max_payload = config_.max_payload;
+  cc.default_io_timeout = config_.io_timeout;
+  np.pool = std::make_shared<svc::ClientPool>(cc, config_.pool_size);
   return np.pool;
+}
+
+void Router::drop_pool(std::uint32_t id, const svc::ClientPool* failed) {
+  std::lock_guard lock(pools_mutex_);
+  const auto it = pools_.find(id);
+  // Another caller may have dropped and rebuilt it already; keep the new one.
+  if (it != pools_.end() && it->second->pool.get() == failed) {
+    it->second->pool.reset();
+  }
 }
 
 std::optional<svc::Frame> Router::node_call(std::uint32_t id, svc::Op op,
@@ -192,6 +199,7 @@ std::optional<svc::Frame> Router::node_call(std::uint32_t id, svc::Op op,
   } catch (const kv::RetriesExhausted&) {
   } catch (const TransientFault&) {
   }
+  drop_pool(id, pool.get());
   fanout_failures_total_.fetch_add(1, std::memory_order_relaxed);
   membership_.probe_missed(id);
   return std::nullopt;
@@ -488,7 +496,13 @@ std::string Router::aggregate_digest() {
       throw TransientFault("dist router: node " + std::to_string(id) +
                            " unresolved for digest");
     }
-    const std::string digest = pool->digest();
+    std::string digest;
+    try {
+      digest = pool->digest();
+    } catch (...) {
+      drop_pool(id, pool.get());
+      throw;
+    }
     h = fnv1a64_continue(h, id);
     h = fnv1a64_continue(h, fnv1a64(digest));
   }

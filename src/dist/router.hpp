@@ -181,11 +181,15 @@ class Router {
   struct NodePool;
   struct ProbeLink;
 
-  /// The per-node client pool, (re)built lazily once the node's port
+  /// The per-node client pool, built when there is none and the node's port
   /// resolves; nullptr while unresolved. Callers hold the returned
-  /// reference for the whole RPC, because a restarted node's new port
-  /// replaces the table's pool while other threads may still use the old.
+  /// reference for the whole RPC, because a failed call drops the table's
+  /// pool while other threads may still use it.
   std::shared_ptr<svc::ClientPool> pool_for(std::uint32_t id);
+  /// Forget `failed`, the node's pool a call just failed through, so the
+  /// next call reads the port again: the node may have restarted on a fresh
+  /// port.
+  void drop_pool(std::uint32_t id, const svc::ClientPool* failed);
   /// Live successor order for a key: ring successors over the full set,
   /// filtered through the membership view.
   std::vector<std::uint32_t> live_order(std::uint64_t key_hash);

@@ -294,32 +294,33 @@ std::uint64_t Manager::sync_covering() {
 }
 
 void Manager::append(WalRecord record) {
+  const bool export_metrics = obs::enabled();
+  if (export_metrics && wal_records_metric_ == nullptr) resolve_wal_metrics();
   std::uint64_t seq = 0;
   {
     std::lock_guard<std::mutex> lock(wal_mutex_);
     seq = wal_->append(std::move(record));
     // Counter reads stay under the lock: fsyncs() moves on the committer
     // thread in group-commit mode.
-    export_metrics();
+    if (export_metrics) {
+      wal_records_metric_->inc();
+      wal_bytes_metric_->set(static_cast<double>(wal_->bytes_appended()));
+      wal_fsyncs_metric_->set(static_cast<double>(wal_->fsyncs()));
+    }
   }
   last_appended_seq_.store(seq, std::memory_order_release);
   ++records_since_checkpoint_;
 }
 
-void Manager::export_metrics() {
-  if (!obs::enabled()) return;
-  obs::metrics()
-      .counter("chameleon_wal_records_total", {},
-               "WAL records appended since process start")
-      .inc();
-  obs::metrics()
-      .gauge("chameleon_wal_bytes_appended", {},
-             "WAL bytes appended since process start")
-      .set(static_cast<double>(wal_->bytes_appended()));
-  obs::metrics()
-      .gauge("chameleon_wal_fsyncs", {},
-             "WAL fsync calls since process start")
-      .set(static_cast<double>(wal_->fsyncs()));
+void Manager::resolve_wal_metrics() {
+  wal_records_metric_ = &obs::metrics().counter(
+      "chameleon_wal_records_total", {},
+      "WAL records appended since process start");
+  wal_bytes_metric_ = &obs::metrics().gauge(
+      "chameleon_wal_bytes_appended", {},
+      "WAL bytes appended since process start");
+  wal_fsyncs_metric_ = &obs::metrics().gauge(
+      "chameleon_wal_fsyncs", {}, "WAL fsync calls since process start");
 }
 
 void Manager::on_put_sim(ObjectId oid, std::uint64_t bytes, Epoch epoch) {

@@ -27,6 +27,11 @@ namespace chameleon::core {
 class Chameleon;
 }
 
+namespace chameleon::obs {
+class Counter;
+class Gauge;
+}
+
 namespace chameleon::durability {
 
 class GroupCommit;
@@ -132,7 +137,7 @@ class Manager : public MutationJournal {
   /// Delete checkpoints beyond the retain count and WAL segments older
   /// than the oldest retained checkpoint still needs.
   void prune();
-  void export_metrics();
+  void resolve_wal_metrics();
 
   core::Chameleon& system_;
   DurabilityConfig config_;
@@ -142,6 +147,12 @@ class Manager : public MutationJournal {
   /// tickets.
   std::mutex wal_mutex_;
   std::function<void()> sync_hook_for_test_;  ///< guarded by wal_mutex_
+  /// The WAL's registry series, resolved by the first append that sees
+  /// obs::enabled() (the store thread; nullptr until then), so an append
+  /// makes no name lookup under wal_mutex_.
+  obs::Counter* wal_records_metric_ = nullptr;
+  obs::Gauge* wal_bytes_metric_ = nullptr;
+  obs::Gauge* wal_fsyncs_metric_ = nullptr;
   std::atomic<std::uint64_t> last_appended_seq_{0};
   std::unique_ptr<GroupCommit> group_commit_;
   std::uint64_t checkpoint_seq_ = 0;       ///< last checkpoint written/loaded

@@ -1,28 +1,11 @@
 #include "ec/reed_solomon.hpp"
 
 #include <algorithm>
-#include <span>
 #include <stdexcept>
 
-#include "common/thread_pool.hpp"
 #include "ec/gf256.hpp"
 
 namespace chameleon::ec {
-
-namespace {
-
-/// Shards smaller than this encode serially — the mul_add kernel crosses
-/// memory bandwidth well before thread fan-out pays for itself.
-constexpr std::size_t kParallelShardBytes = 64 * 1024;
-/// Byte-range granule for parallel_for chunking.
-constexpr std::size_t kChunkBytes = 16 * 1024;
-
-bool use_pool(const ThreadPool* pool, std::size_t shard_bytes) {
-  return pool != nullptr && pool->worker_count() > 1 &&
-         shard_bytes >= kParallelShardBytes;
-}
-
-}  // namespace
 
 ReedSolomon::ReedSolomon(std::size_t n, std::size_t k)
     : n_(n), k_(k), generator_(n == 0 || k == 0 ? 1 : n, k == 0 ? 1 : k) {
@@ -45,7 +28,7 @@ ReedSolomon::ReedSolomon(std::size_t n, std::size_t k)
 
 void ReedSolomon::encode(
     const std::vector<std::vector<std::uint8_t>>& data,
-    std::vector<std::vector<std::uint8_t>>& parity, ThreadPool* pool) const {
+    std::vector<std::vector<std::uint8_t>>& parity) const {
   if (data.size() != k_) {
     throw std::invalid_argument("ReedSolomon::encode: expected k data shards");
   }
@@ -60,33 +43,15 @@ void ReedSolomon::encode(
   }
   const auto& gf = Gf256::instance();
   for (auto& shard : parity) shard.assign(shard_bytes, 0);
-  // Each parity byte is an independent dot product over the data column, so
-  // byte-range chunking cannot change the result: within a chunk the d-loop
-  // XOR order is the same as the serial path's.
-  const auto encode_range = [&](std::size_t p, std::size_t off,
-                                std::size_t len) {
+  for (std::size_t p = 0; p < parity.size(); ++p) {
     for (std::size_t d = 0; d < k_; ++d) {
-      gf.mul_add(generator_.at(k_ + p, d),
-                 std::span(data[d]).subspan(off, len),
-                 std::span(parity[p]).subspan(off, len));
+      gf.mul_add(generator_.at(k_ + p, d), data[d], parity[p]);
     }
-  };
-  if (!use_pool(pool, shard_bytes)) {
-    for (std::size_t p = 0; p < parity.size(); ++p) {
-      encode_range(p, 0, shard_bytes);
-    }
-    return;
   }
-  const std::size_t chunks = (shard_bytes + kChunkBytes - 1) / kChunkBytes;
-  pool->parallel_for(0, parity.size() * chunks, [&](std::size_t i) {
-    const std::size_t p = i / chunks;
-    const std::size_t off = (i % chunks) * kChunkBytes;
-    encode_range(p, off, std::min(kChunkBytes, shard_bytes - off));
-  });
 }
 
 std::vector<std::vector<std::uint8_t>> ReedSolomon::encode_object(
-    const std::vector<std::uint8_t>& payload, ThreadPool* pool) const {
+    const std::vector<std::uint8_t>& payload) const {
   const std::size_t shard_bytes = std::max<std::size_t>(1, shard_size(payload.size()));
   std::vector<std::vector<std::uint8_t>> shards(n_);
   for (std::size_t d = 0; d < k_; ++d) {
@@ -101,7 +66,7 @@ std::vector<std::vector<std::uint8_t>> ReedSolomon::encode_object(
   std::vector<std::vector<std::uint8_t>> data(shards.begin(),
                                               shards.begin() + static_cast<std::ptrdiff_t>(k_));
   std::vector<std::vector<std::uint8_t>> parity(parity_shards());
-  encode(data, parity, pool);
+  encode(data, parity);
   for (std::size_t p = 0; p < parity.size(); ++p) {
     shards[k_ + p] = std::move(parity[p]);
   }
@@ -109,8 +74,8 @@ std::vector<std::vector<std::uint8_t>> ReedSolomon::encode_object(
 }
 
 std::vector<std::vector<std::uint8_t>> ReedSolomon::reconstruct_data(
-    const std::vector<std::optional<std::vector<std::uint8_t>>>& shards,
-    ThreadPool* pool) const {
+    const std::vector<std::optional<std::vector<std::uint8_t>>>& shards)
+    const {
   if (shards.size() != n_) {
     throw std::invalid_argument("ReedSolomon::reconstruct_data: need n slots");
   }
@@ -154,23 +119,11 @@ std::vector<std::vector<std::uint8_t>> ReedSolomon::reconstruct_data(
   const auto& gf = Gf256::instance();
   std::vector<std::vector<std::uint8_t>> data(k_);
   for (auto& shard : data) shard.assign(shard_bytes, 0);
-  const auto decode_range = [&](std::size_t d, std::size_t off,
-                                std::size_t len) {
+  for (std::size_t d = 0; d < k_; ++d) {
     for (std::size_t s = 0; s < k_; ++s) {
-      gf.mul_add(decode.at(d, s), std::span(*survivors[s]).subspan(off, len),
-                 std::span(data[d]).subspan(off, len));
+      gf.mul_add(decode.at(d, s), *survivors[s], data[d]);
     }
-  };
-  if (!use_pool(pool, shard_bytes)) {
-    for (std::size_t d = 0; d < k_; ++d) decode_range(d, 0, shard_bytes);
-    return data;
   }
-  const std::size_t chunks = (shard_bytes + kChunkBytes - 1) / kChunkBytes;
-  pool->parallel_for(0, k_ * chunks, [&](std::size_t i) {
-    const std::size_t d = i / chunks;
-    const std::size_t off = (i % chunks) * kChunkBytes;
-    decode_range(d, off, std::min(kChunkBytes, shard_bytes - off));
-  });
   return data;
 }
 

@@ -9,10 +9,6 @@
 
 #include "ec/matrix.hpp"
 
-namespace chameleon {
-class ThreadPool;
-}
-
 namespace chameleon::ec {
 
 class ReedSolomon {
@@ -26,27 +22,21 @@ class ReedSolomon {
 
   /// Compute parity shards from data shards. All shards must share one size.
   /// data.size() == k, parity.size() == m; parity buffers are overwritten.
-  /// A non-null `pool` chunks the shard byte ranges across it with
-  /// parallel_for; the output bytes are identical to the serial path (each
-  /// output byte is an independent GF(2^8) dot product).
   void encode(const std::vector<std::vector<std::uint8_t>>& data,
-              std::vector<std::vector<std::uint8_t>>& parity,
-              ThreadPool* pool = nullptr) const;
+              std::vector<std::vector<std::uint8_t>>& parity) const;
 
   /// Convenience: encode a contiguous payload. Pads the tail shard with
   /// zeroes; returns all n shards (data first, then parity).
   std::vector<std::vector<std::uint8_t>> encode_object(
-      const std::vector<std::uint8_t>& payload,
-      ThreadPool* pool = nullptr) const;
+      const std::vector<std::uint8_t>& payload) const;
 
   /// Reconstruct the original data shards from any >= k survivors.
   /// `shards[i]` is shard i's bytes or std::nullopt if lost. On success the
   /// returned vector holds the k data shards. Throws std::runtime_error if
-  /// fewer than k shards survive. `pool` parallelizes the byte ranges as in
-  /// encode(); bit-identical output either way.
+  /// fewer than k shards survive.
   std::vector<std::vector<std::uint8_t>> reconstruct_data(
-      const std::vector<std::optional<std::vector<std::uint8_t>>>& shards,
-      ThreadPool* pool = nullptr) const;
+      const std::vector<std::optional<std::vector<std::uint8_t>>>& shards)
+      const;
 
   /// Reassemble a payload of `payload_bytes` from data shards.
   static std::vector<std::uint8_t> join(

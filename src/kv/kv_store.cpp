@@ -5,7 +5,6 @@
 
 #include "cluster/device_exec.hpp"
 #include "common/fnv.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -151,7 +150,7 @@ KvStore::FragmentPayloads KvStore::shard_payload(
   if (scheme == RedState::kRep) {
     return FragmentPayloads(config_.replicas, value);
   }
-  return codec_.encode_object(value, codec_pool_);
+  return codec_.encode_object(value);
 }
 
 flashsim::StreamHint KvStore::stream_hint(double heat) const {
@@ -511,7 +510,7 @@ std::vector<std::uint8_t> KvStore::gather_value(
     shards[i] = payloads_->load(
         m.src[i], cluster::fragment_key(m.oid, m.placement_version, i));
   }
-  const auto data = codec_.reconstruct_data(shards, codec_pool_);
+  const auto data = codec_.reconstruct_data(shards);
   return ec::ReedSolomon::join(data, m.size_bytes);
 }
 

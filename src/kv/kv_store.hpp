@@ -28,10 +28,6 @@
 #include "kv/payload_store.hpp"
 #include "meta/mapping_table.hpp"
 
-namespace chameleon {
-class ThreadPool;
-}
-
 namespace chameleon::kv {
 
 struct KvConfig {
@@ -155,12 +151,6 @@ class KvStore {
 
   void enable_payloads();
   bool payloads_enabled() const { return payloads_ != nullptr; }
-
-  /// Optional thread pool for Reed-Solomon shard arithmetic on the payload
-  /// path: encode/reconstruct chunk their byte ranges with parallel_for.
-  /// Purely a throughput knob — the output bytes are identical either way.
-  void set_codec_pool(ThreadPool* pool) { codec_pool_ = pool; }
-  ThreadPool* codec_pool() const { return codec_pool_; }
   const PayloadStore* payload_store() const { return payloads_.get(); }
   PayloadStore* payload_store_mutable() { return payloads_.get(); }
 
@@ -216,7 +206,6 @@ class KvStore {
   KvConfig config_;
   ec::ReedSolomon codec_;
   std::unique_ptr<PayloadStore> payloads_;
-  ThreadPool* codec_pool_ = nullptr;  ///< not owned; nullptr = serial codec
 };
 
 }  // namespace chameleon::kv

@@ -29,12 +29,14 @@ TEST(Config, DefaultsWhenMissing) {
 }
 
 TEST(Config, ParseArgs) {
-  const char* argv[] = {"prog", "servers=50", "scale=0.5", "scheme=chameleon"};
+  const char* argv[] = {"prog", "servers=50", "scale=0.5", "scheme=chameleon",
+                        "--workers=4"};
   Config c;
-  c.parse_args(4, argv);
+  c.parse_args(5, argv);
   EXPECT_EQ(c.get_int("servers", 0), 50);
   EXPECT_DOUBLE_EQ(c.get_double("scale", 0.0), 0.5);
   EXPECT_EQ(c.get_string("scheme", ""), "chameleon");
+  EXPECT_EQ(c.get_int("workers", 0), 4);  // leading dashes are stripped
 }
 
 TEST(Config, ParseArgsRejectsMalformed) {

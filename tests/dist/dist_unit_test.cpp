@@ -151,6 +151,15 @@ TEST(Membership, UnknownPeerDiesAfterEnoughMisses) {
   m.probe_missed(2);
   EXPECT_EQ(m.state_of(2), PeerState::kDead);
   EXPECT_TRUE(m.settled());
+  // Its first answer is an arrival, not a rejoin: it was never alive.
+  m.probe_ok(2);
+  EXPECT_EQ(m.state_of(2), PeerState::kAlive);
+  EXPECT_EQ(m.rejoins_total(), 0u);
+  // A later death and return is a rejoin.
+  for (int i = 0; i < 4; ++i) m.probe_missed(2);
+  ASSERT_EQ(m.state_of(2), PeerState::kDead);
+  m.probe_ok(2);
+  EXPECT_EQ(m.rejoins_total(), 1u);
 }
 
 }  // namespace

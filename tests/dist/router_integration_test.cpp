@@ -8,8 +8,9 @@
 // gates (under-protected writes shed kRetryLater instead of acking),
 // router-restart version monotonicity, node-side newest-wins replica
 // application, the inline peer ops (PEER_HEALTH / WEAR_REPORT), wear
-// aggregation, liveness that follows each node's serving state, and nodes
-// restarting on fresh ports under concurrent routed traffic.
+// aggregation, liveness that follows each node's serving state, nodes
+// restarting on fresh ports under concurrent routed traffic, and port files
+// read once per client pool.
 #include "dist/router.hpp"
 
 #include <gtest/gtest.h>
@@ -419,42 +420,89 @@ void publish_port(const std::string& path, std::uint16_t port) {
   ASSERT_EQ(std::rename(tmp.c_str(), path.c_str()), 0);
 }
 
-TEST(RouterIntegration, NodesRestartOnFreshPortsUnderConcurrentTraffic) {
-  // The router rebuilds a node's client pool when the node's port file
-  // names a new port. Other router threads may still be inside
-  // ClientPool::call on the old pool at that moment, so the rebuild must
-  // not free the pool under them. Here four threads route traffic while one
-  // node after another restarts on a fresh ephemeral port every ~20 ms.
-  constexpr std::size_t kNodes = 3;
-  std::vector<TestNode> nodes(kNodes);
-  std::vector<std::string> port_files;
-  const auto boot = [&](std::size_t i) {
+/// Three nodes that publish their ports through files, as chameleon_server's
+/// port_file= does, and a replicate-mode router config that finds them there.
+struct PortFileNodes {
+  static constexpr std::size_t kNodes = 3;
+
+  explicit PortFileNodes(const std::string& name) {
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      port_files.push_back(::testing::TempDir() + name + "_node" +
+                           std::to_string(i + 1) + "-port.txt");
+      std::remove(port_files.back().c_str());
+      boot(i);
+      PeerSpec spec;
+      spec.id = static_cast<std::uint32_t>(i + 1);
+      spec.port_file = port_files.back();
+      config.nodes.push_back(spec);
+    }
+    config.replicas = 2;
+    config.version_seed = 1;
+  }
+  ~PortFileNodes() {
+    for (TestNode& node : nodes) node.stop();
+    for (const std::string& path : port_files) std::remove(path.c_str());
+  }
+
+  /// (Re)start node i on a fresh ephemeral port and publish it.
+  void boot(std::size_t i) {
     nodes[i].system = std::make_unique<core::Chameleon>(small_system());
     svc::ServerConfig server_cfg;
     server_cfg.node_id = static_cast<std::uint32_t>(i + 1);
     server_cfg.workers = 1;
-    nodes[i].server = std::make_unique<svc::Server>(*nodes[i].system,
-                                                     server_cfg);
+    nodes[i].server =
+        std::make_unique<svc::Server>(*nodes[i].system, server_cfg);
     nodes[i].server->start();
     publish_port(port_files[i], nodes[i].server->port());
-  };
-  RouterConfig cfg;
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    port_files.push_back(::testing::TempDir() + "router_restart_node" +
-                         std::to_string(i + 1) + "-port.txt");
-    std::remove(port_files.back().c_str());
-    boot(i);
-    PeerSpec spec;
-    spec.id = static_cast<std::uint32_t>(i + 1);
-    spec.port_file = port_files.back();
-    cfg.nodes.push_back(spec);
   }
-  cfg.replicas = 2;
-  cfg.heartbeat_interval = 5 * kMillisecond;
-  cfg.membership.suspect_after = 1;
-  cfg.membership.dead_after = 2;
-  cfg.version_seed = 1;
-  Router router(cfg);
+
+  std::vector<TestNode> nodes = std::vector<TestNode>(kNodes);
+  std::vector<std::string> port_files;
+  RouterConfig config;
+};
+
+TEST(RouterIntegration, PortFilesAreReadOncePerPool) {
+  // The router reads a node's port file when it builds the node's client
+  // pool, and again only after a call through that pool fails. So once
+  // traffic has built every pool, the port files may vanish while the nodes
+  // keep serving. The long heartbeat interval keeps the monitor, which
+  // reads them on every probe, from probing after the first round.
+  PortFileNodes cluster("router_read_once");
+  cluster.config.heartbeat_interval = 60 * kSecond;
+  Router router(cluster.config);
+  router.start();
+  ASSERT_TRUE(await_live(router, PortFileNodes::kNodes));
+
+  // A GET asks every live node, so this pair builds all three pools.
+  std::vector<std::uint8_t> got;
+  ASSERT_EQ(router.route_put("warm", value_for(0, 64)), svc::Status::kOk);
+  ASSERT_EQ(router.route_get("warm", got), svc::Status::kOk);
+  for (const std::string& path : cluster.port_files) {
+    ASSERT_EQ(std::remove(path.c_str()), 0) << path;
+  }
+  for (int i = 1; i <= 20; ++i) {
+    const std::string key = "steady-" + std::to_string(i);
+    EXPECT_EQ(router.route_put(key, value_for(i, 64)), svc::Status::kOk)
+        << key;
+    EXPECT_EQ(router.route_get(key, got), svc::Status::kOk) << key;
+    EXPECT_EQ(got, value_for(i, 64)) << key;
+  }
+  router.stop();
+}
+
+TEST(RouterIntegration, NodesRestartOnFreshPortsUnderConcurrentTraffic) {
+  // A call that fails through a node's client pool drops the pool, and the
+  // next call builds a new one from the node's port file. Other router
+  // threads may still be inside ClientPool::call on the old pool at that
+  // moment, so dropping it must not free it under them. Here four threads
+  // route traffic while one node after another restarts on a fresh
+  // ephemeral port every ~20 ms.
+  constexpr std::size_t kNodes = PortFileNodes::kNodes;
+  PortFileNodes cluster("router_restart");
+  cluster.config.heartbeat_interval = 5 * kMillisecond;
+  cluster.config.membership.suspect_after = 1;
+  cluster.config.membership.dead_after = 2;
+  Router router(cluster.config);
   router.start();
   ASSERT_TRUE(await_live(router, kNodes));
 
@@ -488,8 +536,8 @@ TEST(RouterIntegration, NodesRestartOnFreshPortsUnderConcurrentTraffic) {
   while (std::chrono::steady_clock::now() < until) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     const std::size_t victim = static_cast<std::size_t>(restarts) % kNodes;
-    nodes[victim].stop();
-    boot(victim);
+    cluster.nodes[victim].stop();
+    cluster.boot(victim);
     ++restarts;
   }
   stop.store(true);
@@ -509,8 +557,6 @@ TEST(RouterIntegration, NodesRestartOnFreshPortsUnderConcurrentTraffic) {
   ASSERT_EQ(router.route_get("after", got), svc::Status::kOk);
   EXPECT_EQ(got, value_for(7, 64));
   router.stop();
-  for (TestNode& node : nodes) node.stop();
-  for (const std::string& path : port_files) std::remove(path.c_str());
 }
 
 }  // namespace

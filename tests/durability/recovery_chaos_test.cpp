@@ -353,5 +353,34 @@ TEST(Recovery, EmitsMetricsAndTraceEvents) {
   obs::set_enabled(was_enabled);
 }
 
+TEST(Recovery, AppendsExportWalSeries) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  // The registry is process-wide, so the records counter is read as a delta.
+  const auto value_of = [](const std::string& name) {
+    for (const auto& sample : obs::metrics().snapshot()) {
+      if (sample.name == name) return sample.value;
+    }
+    return 0.0;
+  };
+  const double records_before = value_of("chameleon_wal_records_total");
+  TempDir dir;
+  Chameleon sys(small_config());
+  Manager manager(sys, durable_in(dir.path));
+  manager.open();
+  for (ObjectId oid = 1; oid <= 10; ++oid) {
+    sys.put(oid, 8'192, static_cast<Nanos>(oid) * kMinute);
+  }
+  const WalWriter& wal = manager.wal();
+  EXPECT_GE(wal.records_appended(), 10u);
+  EXPECT_EQ(value_of("chameleon_wal_records_total") - records_before,
+            static_cast<double>(wal.records_appended()));
+  EXPECT_EQ(value_of("chameleon_wal_bytes_appended"),
+            static_cast<double>(wal.bytes_appended()));
+  EXPECT_EQ(value_of("chameleon_wal_fsyncs"),
+            static_cast<double>(wal.fsyncs()));
+  obs::set_enabled(was_enabled);
+}
+
 }  // namespace
 }  // namespace chameleon::durability

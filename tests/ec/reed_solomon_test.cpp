@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 
 namespace chameleon::ec {
 namespace {
@@ -174,32 +173,53 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(param_info.param.k);
     });
 
+// The tests above stay at or under 5,000 bytes; these two take RS(6,4) from
+// one byte to past a mebibyte. The suite and test names date from a
+// thread-pooled codec path that is gone; the byte-for-byte checks remain, now
+// against a reference built from the shard-level encode().
 TEST(ReedSolomonParallel, PooledEncodeMatchesSerialBytes) {
   const ReedSolomon rs(6, 4);
-  ThreadPool pool(4);
-  // Spans both sides of the 64 KiB/shard parallel threshold.
   for (const std::size_t payload_bytes :
        {std::size_t{1}, std::size_t{4096}, std::size_t{255 * 1024},
         std::size_t{1024 * 1024 + 13}}) {
     const auto payload = random_payload(payload_bytes, payload_bytes);
-    const auto serial = rs.encode_object(payload);
-    const auto pooled = rs.encode_object(payload, &pool);
-    EXPECT_EQ(serial, pooled) << payload_bytes << " bytes";
+    const std::size_t shard_bytes = rs.shard_size(payload_bytes);
+    std::vector<std::vector<std::uint8_t>> expected(
+        6, std::vector<std::uint8_t>(shard_bytes, 0));
+    for (std::size_t i = 0; i < payload_bytes; ++i) {
+      expected[i / shard_bytes][i % shard_bytes] = payload[i];
+    }
+    std::vector<std::vector<std::uint8_t>> data(expected.begin(),
+                                                expected.begin() + 4);
+    std::vector<std::vector<std::uint8_t>> parity(
+        2, std::vector<std::uint8_t>(shard_bytes));
+    rs.encode(data, parity);
+    expected[4] = parity[0];
+    expected[5] = parity[1];
+    const auto shards = rs.encode_object(payload);
+    EXPECT_EQ(shards, expected) << payload_bytes << " bytes";
+    EXPECT_TRUE(rs.verify(shards)) << payload_bytes << " bytes";
   }
 }
 
 TEST(ReedSolomonParallel, PooledReconstructMatchesSerialBytes) {
   const ReedSolomon rs(6, 4);
-  ThreadPool pool(4);
-  const auto payload = random_payload(800 * 1024, 99);
-  const auto shards = rs.encode_object(payload);
-  // Lose two data shards so the decode matrix actually engages.
-  std::vector<std::optional<std::vector<std::uint8_t>>> slots(6);
-  for (std::size_t i = 2; i < 6; ++i) slots[i] = shards[i];
-  const auto serial = rs.reconstruct_data(slots);
-  const auto pooled = rs.reconstruct_data(slots, &pool);
-  EXPECT_EQ(serial, pooled);
-  EXPECT_EQ(ReedSolomon::join(pooled, payload.size()), payload);
+  for (const std::size_t payload_bytes :
+       {std::size_t{1}, std::size_t{4096}, std::size_t{800 * 1024},
+        std::size_t{1024 * 1024 + 13}}) {
+    const auto payload = random_payload(payload_bytes, payload_bytes + 99);
+    const auto shards = rs.encode_object(payload);
+    // Lose two data shards so the decode matrix actually engages.
+    std::vector<std::optional<std::vector<std::uint8_t>>> slots(6);
+    for (std::size_t i = 2; i < 6; ++i) slots[i] = shards[i];
+    const auto data = rs.reconstruct_data(slots);
+    ASSERT_EQ(data.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(data[i], shards[i]) << payload_bytes << " bytes, shard " << i;
+    }
+    EXPECT_EQ(ReedSolomon::join(data, payload.size()), payload)
+        << payload_bytes << " bytes";
+  }
 }
 
 }  // namespace

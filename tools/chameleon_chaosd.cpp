@@ -1,16 +1,26 @@
 // chameleon_chaosd — crash-recovery chaos supervisor (docs/FAULT_MODEL.md).
 //
-// Runs a durable chameleon_server under a seeded kill schedule while a
-// loadgen child hammers it over real TCP, and verifies the whole-system
-// durability contract end to end:
+// Runs durable chameleon_servers under a seeded kill schedule while a
+// loadgen child hammers them over real TCP, and verifies the whole-system
+// durability contract end to end. One kill loop serves two topologies:
+// `mode=single` (the default) is one server that the loadgen targets
+// directly; `mode=dist` is N data nodes behind a chameleon_router that the
+// loadgen targets (docs/DISTRIBUTED.md).
 //
-//   1. boot the server (ephemeral port, durable data_dir), remember the port
-//   2. start chameleon_loadgen with verify=1 (acked-write ledger) pointed at it
-//   3. at each scheduled point, SIGKILL the server mid-load, restart it on
-//      the SAME port, and poll HEALTH until recovery finishes — measuring
-//      the downtime window instead of sleeping a guessed duration
+//   1. boot the servers (ephemeral ports, durable data_dirs) and, in dist
+//      mode, the router; wait until the target serves
+//   2. start chameleon_loadgen with verify=1 (acked-write ledger) pointed at
+//      the target
+//   3. at each scheduled point, SIGKILL a server mid-load, restart it, and
+//      poll HEALTH until recovery finishes — measuring the downtime window
+//      instead of sleeping a guessed duration. Single mode restarts its
+//      server on the SAME port. Dist mode draws the victim node from the
+//      seeded RNG and restarts it on a fresh ephemeral port (the router
+//      reads its port file again); recovery also means the router's live
+//      set re-absorbed it
 //   4. after the load drains: quiesced digest check — DIGEST, kill -9,
-//      restart, DIGEST again; the two fingerprints must be identical
+//      restart, DIGEST again; the two fingerprints must be identical (in
+//      dist mode, the router's AGGREGATE digest across one more node crash)
 //   5. write a JSON report and exit nonzero on any violation: acked-write
 //      loss (loadgen exit), digest mismatch, a kill that missed live load,
 //      a recovery that never became serving, or a supervised process that
@@ -29,8 +39,9 @@
 // Flags (leading "--" optional, key=value):
 //   server_bin=PATH        chameleon_server binary (default: next to chaosd)
 //   loadgen_bin=PATH       chameleon_loadgen binary (default: next to chaosd)
+//   mode=single            single | dist
 //   dir=PATH               scratch dir: data_dir, port file, ledger, logs
-//                          (default: ./chaosd-run)
+//                          (default: ./chaosd-run, dist: ./chaosd-dist-run)
 //   host=127.0.0.1         listen host
 //   kills=3                kill -9s to deliver while the load runs
 //   seed=1337              kill-schedule + workload seed
@@ -51,15 +62,8 @@
 //   recovery_timeout_ms=30000  max wait for a restarted server to serve
 //   report_out=PATH        JSON report ("-" = stdout, the default)
 //
-// Distributed mode (mode=dist, docs/DISTRIBUTED.md): supervise a 3-process
-// cluster — N durable data nodes plus a chameleon_router fronting them —
-// and kill -9 seeded-chosen DATA NODES under live router load. Each victim
-// restarts on a fresh ephemeral port (the router re-resolves its port
-// file), must recover, and must be re-absorbed into the router's live set;
-// the quiesced check compares the router's AGGREGATE digest across one
-// more node crash. Extra flags:
-//   mode=single            single | dist
-//   nodes=3                data nodes (dist mode)
+// Dist mode only:
+//   nodes=3                data nodes
 //   router_bin=PATH        chameleon_router binary (default: next to chaosd)
 //   route_mode=stripe      router data placement: replicate | stripe
 //   replicas=2 ec_k=2 ec_m=1  placement geometry (see chameleon_router)
@@ -90,20 +94,6 @@
 using namespace chameleon;
 
 namespace {
-
-Config parse_flags(int argc, char** argv) {
-  Config config;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    while (arg.rfind("--", 0) == 0) arg = arg.substr(2);
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      throw std::runtime_error("expected key=value, got: " + arg);
-    }
-    config.set(arg.substr(0, eq), arg.substr(eq + 1));
-  }
-  return config;
-}
 
 std::string dirname_of(const std::string& path) {
   const auto slash = path.rfind('/');
@@ -262,7 +252,7 @@ fault::FaultSchedule make_schedule(std::uint64_t seed, std::size_t kills,
   return schedule;
 }
 
-/// Poll an aggregate DIGEST until every member answers. The router returns
+/// Poll DIGEST until it answers. A router's aggregate DIGEST returns
 /// retry_later while any node is still replaying its WAL after a restart,
 /// and the probe pool's own retry budget is far shorter than a recovery, so
 /// ride it out here with a deadline instead. Empty string on timeout.
@@ -363,19 +353,39 @@ int write_report(const std::string& report, const std::string& report_out) {
   return 0;
 }
 
-/// mode=dist: N durable data nodes + a router, seeded kill -9 of data
-/// nodes under router load, ephemeral-port restarts, aggregate digest check.
-int run_dist(const Config& config, const std::string& self_dir) {
+/// One supervised chameleon_server: the single-mode server, or one data
+/// node behind the router in dist mode.
+struct Server {
+  std::string name;           ///< "server" or "node<id>"
+  std::uint32_t node_id = 0;  ///< 0 for the single-mode server
+  std::string data_dir;
+  std::string port_file;
+  std::string log;
+  std::uint16_t port = 0;  ///< where it listens now; 0 before the first boot
+  pid_t pid = -1;
+};
+
+svc::ClientConfig client_config(const std::string& host, std::uint16_t port) {
+  svc::ClientConfig config;
+  config.host = host;
+  config.port = port;
+  return config;
+}
+
+/// One kill loop over either topology. Single mode: one durable server that
+/// the loadgen targets directly; it restarts on the same port. Dist mode:
+/// `nodes` durable data nodes behind a chameleon_router that the loadgen
+/// targets; each victim is drawn from the seeded RNG, restarts on a fresh
+/// ephemeral port, and must be re-absorbed into the router's live set.
+int run(const Config& config, const std::string& self_dir) {
+  const bool dist = config.get_string("mode", "single") == "dist";
   const std::string server_bin =
       config.get_string("server_bin", self_dir + "/chameleon_server");
-  const std::string router_bin =
-      config.get_string("router_bin", self_dir + "/chameleon_router");
   const std::string loadgen_bin =
       config.get_string("loadgen_bin", self_dir + "/chameleon_loadgen");
-  const std::string dir = config.get_string("dir", "./chaosd-dist-run");
+  const std::string dir =
+      config.get_string("dir", dist ? "./chaosd-dist-run" : "./chaosd-run");
   const std::string host = config.get_string("host", "127.0.0.1");
-  const auto node_count = static_cast<std::size_t>(
-      std::max<std::int64_t>(2, config.get_int("nodes", 3)));
   const auto kills = static_cast<std::size_t>(
       std::max<std::int64_t>(1, config.get_int("kills", 3)));
   const auto seed = static_cast<std::uint64_t>(config.get_int("seed", 1337));
@@ -386,87 +396,119 @@ int run_dist(const Config& config, const std::string& self_dir) {
   const Nanos recovery_timeout =
       config.get_int("recovery_timeout_ms", 30'000) * kMillisecond;
   const std::string report_out = config.get_string("report_out", "-");
-  const std::string route_mode = config.get_string("route_mode", "stripe");
 
   if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
     throw std::runtime_error("chaosd: cannot create dir " + dir);
   }
-
-  // Per-node directory layout + the id@host:@/port/file specs the router
-  // resolves, so ephemeral-port restarts propagate automatically.
-  std::vector<std::string> data_dirs, port_files, logs, specs;
-  for (std::size_t i = 0; i < node_count; ++i) {
-    const std::string n = std::to_string(i + 1);
-    data_dirs.push_back(dir + "/node" + n + "-data");
-    port_files.push_back(dir + "/node" + n + "-port.txt");
-    logs.push_back(dir + "/node" + n + ".log");
-    specs.push_back(n + "@" + host + ":@" + port_files.back());
-    ::unlink(port_files.back().c_str());
+  std::vector<Server> servers;
+  if (dist) {
+    const auto node_count = static_cast<std::size_t>(
+        std::max<std::int64_t>(2, config.get_int("nodes", 3)));
+    for (std::size_t i = 0; i < node_count; ++i) {
+      const std::string n = std::to_string(i + 1);
+      servers.push_back({"node" + n, static_cast<std::uint32_t>(i + 1),
+                         dir + "/node" + n + "-data",
+                         dir + "/node" + n + "-port.txt",
+                         dir + "/node" + n + ".log"});
+    }
+  } else {
+    servers.push_back({"server", 0, dir + "/data", dir + "/port.txt",
+                       dir + "/server.log"});
   }
-  const std::string router_port_file = dir + "/router-port.txt";
-  const std::string router_log = dir + "/router.log";
   const std::string loadgen_log = dir + "/loadgen.log";
   const std::string ledger_path = dir + "/ledger.jsonl";
-  ::unlink(router_port_file.c_str());
 
-  const auto node_args = [&](std::size_t i) {
-    return std::vector<std::string>{
+  // Single mode pins the port its first boot got; a dist node takes a fresh
+  // ephemeral port at every boot. The old port file goes first, so a port
+  // read back is the new process's.
+  const auto boot = [&](Server& server) {
+    ::unlink(server.port_file.c_str());
+    std::vector<std::string> args = {
         server_bin,
-        "listen=" + host + ":0",
-        "port_file=" + port_files[i],
-        "data_dir=" + data_dirs[i],
-        "node_id=" + std::to_string(i + 1),
-        "workers=" + config.get_string("workers", "2"),
-        "servers=" + config.get_string("servers", "8"),
-        "capacity_mb=" + config.get_string("capacity_mb", "64"),
+        "listen=" + host + ":" + std::to_string(dist ? 0 : server.port),
+        "port_file=" + server.port_file,
+        "data_dir=" + server.data_dir,
     };
+    if (dist) args.push_back("node_id=" + std::to_string(server.node_id));
+    args.push_back("workers=" + config.get_string("workers", "2"));
+    args.push_back("servers=" + config.get_string("servers", "8"));
+    args.push_back("capacity_mb=" + config.get_string("capacity_mb", "64"));
+    server.pid = spawn(args, server.log);
   };
-
-  std::vector<pid_t> node_pids(node_count, -1);
-  for (std::size_t i = 0; i < node_count; ++i) {
-    node_pids[i] = spawn(node_args(i), logs[i]);
-  }
-  for (std::size_t i = 0; i < node_count; ++i) {
-    await_port_file(port_files[i], 10 * kSecond);
+  for (Server& server : servers) boot(server);
+  for (Server& server : servers) {
+    server.port = await_port_file(server.port_file, 10 * kSecond);
   }
 
-  std::string nodes_flag;
-  for (const std::string& spec : specs) {
-    if (!nodes_flag.empty()) nodes_flag += ',';
-    nodes_flag += spec;
+  // Dist mode's router finds each node through an id@host:@/port/file spec,
+  // so a node restarted on a fresh port needs no reconfiguration.
+  pid_t router_pid = -1;
+  std::uint16_t target_port = servers.front().port;
+  if (dist) {
+    const std::string router_port_file = dir + "/router-port.txt";
+    ::unlink(router_port_file.c_str());
+    std::string nodes_flag;
+    for (const Server& server : servers) {
+      if (!nodes_flag.empty()) nodes_flag += ',';
+      nodes_flag += std::to_string(server.node_id) + "@" + host + ":@" +
+                    server.port_file;
+    }
+    const std::vector<std::string> router_args = {
+        config.get_string("router_bin", self_dir + "/chameleon_router"),
+        "listen=" + host + ":0",
+        "port_file=" + router_port_file,
+        "nodes=" + nodes_flag,
+        "mode=" + config.get_string("route_mode", "stripe"),
+        "replicas=" + config.get_string("replicas", "2"),
+        "ec_k=" + config.get_string("ec_k", "2"),
+        "ec_m=" + config.get_string("ec_m", "1"),
+        "heartbeat_ms=25",
+        "wear_poll_ms=200",
+    };
+    router_pid = spawn(router_args, dir + "/router.log");
+    target_port = await_port_file(router_port_file, 10 * kSecond);
   }
-  const std::vector<std::string> router_args = {
-      router_bin,
-      "listen=" + host + ":0",
-      "port_file=" + router_port_file,
-      "nodes=" + nodes_flag,
-      "mode=" + route_mode,
-      "replicas=" + config.get_string("replicas", "2"),
-      "ec_k=" + config.get_string("ec_k", "2"),
-      "ec_m=" + config.get_string("ec_m", "1"),
-      "heartbeat_ms=25",
-      "wear_poll_ms=200",
+
+  // HEALTH and DIGEST of what the loadgen targets: the server, or the router.
+  svc::ClientPool probe(client_config(host, target_port), 1);
+  // In dist mode, recovery also means the router's live set is whole again.
+  const auto all_live = [&] {
+    return !dist || await_router_live(probe, servers.size(), recovery_timeout);
   };
-  const pid_t router_pid = spawn(router_args, router_log);
-  const std::uint16_t router_port =
-      await_port_file(router_port_file, 10 * kSecond);
-
-  svc::ClientConfig probe_config;
-  probe_config.host = host;
-  probe_config.port = router_port;
-  svc::ClientPool probe(probe_config, 1);
-  if (!probe.wait_serving(recovery_timeout) ||
-      !await_router_live(probe, node_count, recovery_timeout)) {
-    throw std::runtime_error("chaosd: router never saw the full live set");
+  if (!probe.wait_serving(recovery_timeout) || !all_live()) {
+    throw std::runtime_error(dist ? "chaosd: router never saw the full live set"
+                                  : "chaosd: server never became serving");
   }
 
+  // The kill schedule: kKill9 events at seeded epochs over the horizon.
+  // Serialized into the report so a failure reproduces from the seed.
   const fault::FaultSchedule schedule =
       make_schedule(seed, kills, horizon_ms, epoch_ms);
   Xoshiro256 victim_rng(seed ^ 0xd157d157);
+  const auto next_victim = [&]() -> Server& {
+    if (!dist) return servers.front();
+    return servers[static_cast<std::size_t>(victim_rng.next() %
+                                            servers.size())];
+  };
+  // kill -9 and restart; true once the victim itself serves again.
+  const auto kill_and_restart = [&](Server& victim) {
+    ::kill(victim.pid, SIGKILL);
+    wait_exit(victim.pid);
+    boot(victim);
+    // The single-mode victim is the target on its pinned port; waiting on
+    // the target's probe also replaces the connection the kill broke.
+    if (!dist) return probe.wait_serving(recovery_timeout);
+    victim.port = await_port_file(victim.port_file, 10 * kSecond);
+    svc::ClientPool node_probe(client_config(host, victim.port), 1);
+    return node_probe.wait_serving(recovery_timeout);
+  };
 
+  // The load: acked-write ledger + verification ON, generous retry budget
+  // so clients ride out each restart, bounded error window enforced by
+  // max_exhausted inside loadgen itself.
   const std::vector<std::string> loadgen_cmd = {
       loadgen_bin,
-      "target=" + host + ":" + std::to_string(router_port),
+      "target=" + host + ":" + std::to_string(target_port),
       "ops=" + config.get_string("ops", "6000"),
       "open_rate=" + config.get_string("open_rate", "2000"),
       "keys=" + config.get_string("keys", "500"),
@@ -485,13 +527,14 @@ int run_dist(const Config& config, const std::string& self_dir) {
   const Nanos load_start = now_ns();
   const pid_t loadgen_pid = spawn(loadgen_cmd, loadgen_log);
 
-  // The router and the current incarnation of every node: chaosd's own
-  // kills happen between these checks, and each victim is reaped and
-  // replaced before the next one.
+  // The router (dist mode) and the current incarnation of every server:
+  // chaosd's own kills happen between these checks, and each victim is
+  // reaped and replaced before the next one.
   const auto watched = [&] {
-    Watched out = {{"router", router_pid}};
-    for (std::size_t i = 0; i < node_count; ++i) {
-      out.emplace_back("node" + std::to_string(i + 1), node_pids[i]);
+    Watched out;
+    if (dist) out.emplace_back("router", router_pid);
+    for (const Server& server : servers) {
+      out.emplace_back(server.name, server.pid);
     }
     return out;
   };
@@ -514,70 +557,49 @@ int run_dist(const Config& config, const std::string& self_dir) {
     if (died) break;
     cycle.under_load = !loadgen_done;
 
-    const std::size_t victim =
-        static_cast<std::size_t>(victim_rng.next() % node_count);
-    cycle.victim = static_cast<std::uint32_t>(victim + 1);
-    std::fprintf(stderr,
-                 "chaosd: kill -9 node %u at +%llums (under_load=%d)\n",
-                 cycle.victim,
+    Server& victim = next_victim();
+    cycle.victim = victim.node_id;
+    std::fprintf(stderr, "chaosd: kill -9 %s at +%llums (under_load=%d)\n",
+                 victim.name.c_str(),
                  static_cast<unsigned long long>(cycle.scheduled_ms),
                  cycle.under_load ? 1 : 0);
     const Nanos down_start = now_ns();
-    ::kill(node_pids[victim], SIGKILL);
-    wait_exit(node_pids[victim]);
-    // Fresh ephemeral port on restart: the router re-resolves the victim's
-    // port file, which is exactly the path a real redeploy takes.
-    ::unlink(port_files[victim].c_str());
-    node_pids[victim] = spawn(node_args(victim), logs[victim]);
-    const std::uint16_t new_port =
-        await_port_file(port_files[victim], 10 * kSecond);
-    svc::ClientConfig node_probe_config;
-    node_probe_config.host = host;
-    node_probe_config.port = new_port;
-    svc::ClientPool node_probe(node_probe_config, 1);
-    const bool node_up = node_probe.wait_serving(recovery_timeout);
+    const bool up = kill_and_restart(victim);
     cycle.downtime_ms =
         static_cast<std::uint64_t>((now_ns() - down_start) / kMillisecond);
-    // Recovery in dist mode means REJOIN: the router's live view must
-    // re-absorb the node, not just the process serving again.
-    cycle.recovered =
-        node_up && await_router_live(probe, node_count, recovery_timeout);
+    cycle.recovered = up && all_live();
     if (cycle.recovered) cycle.health = probe.health_json();
     cycles.push_back(std::move(cycle));
     if (!cycles.back().recovered) break;
   }
 
+  // The WNOHANG probe above already reaped a loadgen that finished.
   loadgen_status = loadgen_done ? exit_code_of(loadgen_status)
                                 : wait_loadgen(loadgen_pid, watched(), died);
 
-  // Quiesced aggregate digest across one more node crash: the router folds
-  // every node's DIGEST, so this asserts the WHOLE CLUSTER recovered its
-  // state exactly, not just the victim.
+  // Quiesced digest check: the recovered state after one more crash must
+  // fingerprint identically — recovery is exact, not approximate. The
+  // router's DIGEST folds every node's, so in dist mode this holds the
+  // WHOLE CLUSTER to it, not just the victim.
   std::string digest_before;
   std::string digest_after;
   bool digest_match = false;
   bool final_recovered = false;
   if (!died && (cycles.empty() || cycles.back().recovered)) {
     digest_before = digest_with_retry(probe, recovery_timeout);
-    const std::size_t victim =
-        static_cast<std::size_t>(victim_rng.next() % node_count);
-    ::kill(node_pids[victim], SIGKILL);
-    wait_exit(node_pids[victim]);
-    ::unlink(port_files[victim].c_str());
-    node_pids[victim] = spawn(node_args(victim), logs[victim]);
-    await_port_file(port_files[victim], 10 * kSecond);
-    final_recovered = await_router_live(probe, node_count, recovery_timeout);
+    final_recovered = kill_and_restart(next_victim()) && all_live();
     if (final_recovered) {
       digest_after = digest_with_retry(probe, recovery_timeout);
-      digest_match =
-          !digest_before.empty() && digest_before == digest_after;
+      digest_match = !digest_before.empty() && digest_before == digest_after;
     }
   }
 
-  ::kill(router_pid, SIGTERM);
-  wait_exit(router_pid);
-  for (const pid_t pid : node_pids) ::kill(pid, SIGTERM);
-  for (const pid_t pid : node_pids) wait_exit(pid);
+  if (dist) {
+    ::kill(router_pid, SIGTERM);
+    wait_exit(router_pid);
+  }
+  for (const Server& server : servers) ::kill(server.pid, SIGTERM);
+  for (const Server& server : servers) wait_exit(server.pid);
 
   std::size_t kills_under_load = 0;
   std::size_t recovered_count = 0;
@@ -592,14 +614,15 @@ int run_dist(const Config& config, const std::string& self_dir) {
                   cycles.size() == kills && kills_under_load == kills;
 
   const std::string report = render_report(
-      "dist", seed, ok, loadgen_status, kills, kills_under_load,
-      max_downtime_ms, digest_before, digest_after, digest_match,
-      schedule.serialize(), cycles, died);
+      dist ? "dist" : "single", seed, ok, loadgen_status, kills,
+      kills_under_load, max_downtime_ms, digest_before, digest_after,
+      digest_match, schedule.serialize(), cycles, died);
   if (write_report(report, report_out) != 0) return 1;
   std::fprintf(stderr,
-               "chaosd[dist]: %s — %zu/%zu kills under load, loadgen exit "
-               "%d, aggregate digest %s, max downtime %llums%s\n",
-               ok ? "PASS" : "FAIL", kills_under_load, kills, loadgen_status,
+               "chaosd%s: %s — %zu/%zu kills under load, loadgen exit %d, "
+               "%sdigest %s, max downtime %llums%s\n",
+               dist ? "[dist]" : "", ok ? "PASS" : "FAIL", kills_under_load,
+               kills, loadgen_status, dist ? "aggregate " : "",
                digest_match ? "match" : "MISMATCH",
                static_cast<unsigned long long>(max_downtime_ms),
                death_note(died).c_str());
@@ -610,179 +633,9 @@ int run_dist(const Config& config, const std::string& self_dir) {
 
 int main(int argc, char** argv) {
   try {
-    const Config config = parse_flags(argc, argv);
-
-    const std::string self_dir = dirname_of(argv[0]);
-    if (config.get_string("mode", "single") == "dist") {
-      return run_dist(config, self_dir);
-    }
-    const std::string server_bin =
-        config.get_string("server_bin", self_dir + "/chameleon_server");
-    const std::string loadgen_bin =
-        config.get_string("loadgen_bin", self_dir + "/chameleon_loadgen");
-    const std::string dir = config.get_string("dir", "./chaosd-run");
-    const std::string host = config.get_string("host", "127.0.0.1");
-    const auto kills = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, config.get_int("kills", 3)));
-    const auto seed = static_cast<std::uint64_t>(config.get_int("seed", 1337));
-    const auto horizon_ms = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(100, config.get_int("horizon_ms", 3000)));
-    const auto epoch_ms = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(1, config.get_int("epoch_ms", 50)));
-    const Nanos recovery_timeout =
-        config.get_int("recovery_timeout_ms", 30'000) * kMillisecond;
-    const std::string report_out = config.get_string("report_out", "-");
-
-    if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
-      throw std::runtime_error("chaosd: cannot create dir " + dir);
-    }
-    const std::string data_dir = dir + "/data";
-    const std::string port_file = dir + "/port.txt";
-    const std::string server_log = dir + "/server.log";
-    const std::string loadgen_log = dir + "/loadgen.log";
-    const std::string ledger_path = dir + "/ledger.jsonl";
-    ::unlink(port_file.c_str());
-
-    // The kill schedule: kKill9 events at seeded epochs over the horizon.
-    // Serialized into the report so a failure reproduces from the seed.
-    const fault::FaultSchedule schedule =
-        make_schedule(seed, kills, horizon_ms, epoch_ms);
-
-    const auto server_args = [&](std::uint16_t port) {
-      std::vector<std::string> args = {
-          server_bin,
-          "listen=" + host + ":" + std::to_string(port),
-          "port_file=" + port_file,
-          "data_dir=" + data_dir,
-          "workers=" + config.get_string("workers", "2"),
-          "servers=" + config.get_string("servers", "8"),
-          "capacity_mb=" + config.get_string("capacity_mb", "64"),
-      };
-      return args;
-    };
-
-    pid_t server_pid = spawn(server_args(0), server_log);
-    const std::uint16_t port = await_port_file(port_file, 10 * kSecond);
-
-    svc::ClientConfig probe_config;
-    probe_config.host = host;
-    probe_config.port = port;
-    svc::ClientPool probe(probe_config, 1);
-    if (!probe.wait_serving(recovery_timeout)) {
-      throw std::runtime_error("chaosd: server never became serving");
-    }
-
-    // The load: acked-write ledger + verification ON, generous retry budget
-    // so clients ride out each restart, bounded error window enforced by
-    // max_exhausted inside loadgen itself.
-    const std::vector<std::string> loadgen_cmd = {
-        loadgen_bin,
-        "target=" + host + ":" + std::to_string(port),
-        "ops=" + config.get_string("ops", "6000"),
-        "open_rate=" + config.get_string("open_rate", "2000"),
-        "keys=" + config.get_string("keys", "500"),
-        "concurrency=" + config.get_string("concurrency", "4"),
-        "value_bytes=" + config.get_string("value_bytes", "256"),
-        "deadline_ms=" + config.get_string("deadline_ms", "0"),
-        "max_exhausted=" + config.get_string("max_exhausted", "0"),
-        "seed=" + std::to_string(seed),
-        "verify=1",
-        "ledger_out=" + ledger_path,
-        "preload=0",
-        "retry_attempts=12",
-        "retry_base_backoff_ms=4",
-        "wait_serving_ms=" +
-            std::to_string(recovery_timeout / kMillisecond),
-    };
-    const Nanos load_start = now_ns();
-    const pid_t loadgen_pid = spawn(loadgen_cmd, loadgen_log);
-
-    const auto watched = [&] { return Watched{{"server", server_pid}}; };
-
-    std::vector<KillCycle> cycles;
-    bool loadgen_done = false;
-    int loadgen_status = 0;
-    std::optional<UnexpectedExit> died;
-    for (const fault::FaultEvent& event : schedule.events) {
-      if (event.kind != fault::FaultKind::kKill9) continue;
-      KillCycle cycle;
-      cycle.scheduled_ms = static_cast<std::uint64_t>(event.at) * epoch_ms;
-      const Nanos fire_at =
-          load_start + static_cast<Nanos>(cycle.scheduled_ms) * kMillisecond;
-      while (now_ns() < fire_at && !loadgen_done && !died) {
-        if (!child_alive(loadgen_pid, &loadgen_status)) loadgen_done = true;
-        died = first_exit(watched());
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-      if (died) break;
-      cycle.under_load = !loadgen_done;
-
-      std::fprintf(stderr, "chaosd: kill -9 at +%llums (under_load=%d)\n",
-                   static_cast<unsigned long long>(cycle.scheduled_ms),
-                   cycle.under_load ? 1 : 0);
-      const Nanos down_start = now_ns();
-      ::kill(server_pid, SIGKILL);
-      wait_exit(server_pid);
-      server_pid = spawn(server_args(port), server_log);
-      cycle.recovered = probe.wait_serving(recovery_timeout);
-      cycle.downtime_ms = static_cast<std::uint64_t>(
-          (now_ns() - down_start) / kMillisecond);
-      if (cycle.recovered) cycle.health = probe.health_json();
-      cycles.push_back(std::move(cycle));
-      if (!cycles.back().recovered) break;
-    }
-
-    // The WNOHANG probe above already reaped a loadgen that finished.
-    loadgen_status = loadgen_done ? exit_code_of(loadgen_status)
-                                  : wait_loadgen(loadgen_pid, watched(), died);
-
-    // Quiesced digest check: the recovered state after one more crash must
-    // fingerprint identically — recovery is exact, not approximate.
-    std::string digest_before;
-    std::string digest_after;
-    bool digest_match = false;
-    bool final_recovered = false;
-    if (!died && (cycles.empty() || cycles.back().recovered)) {
-      digest_before = probe.digest();
-      ::kill(server_pid, SIGKILL);
-      wait_exit(server_pid);
-      server_pid = spawn(server_args(port), server_log);
-      final_recovered = probe.wait_serving(recovery_timeout);
-      if (final_recovered) {
-        digest_after = probe.digest();
-        digest_match = !digest_before.empty() &&
-                       digest_before == digest_after;
-      }
-    }
-
-    ::kill(server_pid, SIGTERM);
-    wait_exit(server_pid);
-
-    std::size_t kills_under_load = 0;
-    std::size_t recovered_count = 0;
-    std::uint64_t max_downtime_ms = 0;
-    for (const KillCycle& c : cycles) {
-      if (c.under_load) ++kills_under_load;
-      if (c.recovered) ++recovered_count;
-      max_downtime_ms = std::max(max_downtime_ms, c.downtime_ms);
-    }
-    const bool ok = !died && loadgen_status == 0 && digest_match &&
-                    final_recovered && recovered_count == cycles.size() &&
-                    cycles.size() == kills && kills_under_load == kills;
-
-    const std::string report = render_report(
-        "single", seed, ok, loadgen_status, kills, kills_under_load,
-        max_downtime_ms, digest_before, digest_after, digest_match,
-        schedule.serialize(), cycles, died);
-    if (write_report(report, report_out) != 0) return 1;
-    std::fprintf(stderr,
-                 "chaosd: %s — %zu/%zu kills under load, loadgen exit %d, "
-                 "digest %s, max downtime %llums%s\n",
-                 ok ? "PASS" : "FAIL", kills_under_load, kills,
-                 loadgen_status, digest_match ? "match" : "MISMATCH",
-                 static_cast<unsigned long long>(max_downtime_ms),
-                 death_note(died).c_str());
-    return ok ? 0 : 1;
+    Config config;
+    config.parse_args(argc, argv);
+    return run(config, dirname_of(argv[0]));
   } catch (const std::exception& error) {
     std::fprintf(stderr, "chameleon_chaosd: %s\n", error.what());
     return 1;

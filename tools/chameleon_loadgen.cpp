@@ -93,20 +93,6 @@ struct WorkerResult {
   std::uint64_t deadline_exceeded = 0; ///< server shed past-deadline requests
 };
 
-Config parse_flags(int argc, char** argv) {
-  Config config;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    while (arg.rfind("--", 0) == 0) arg = arg.substr(2);
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      throw std::runtime_error("expected key=value, got: " + arg);
-    }
-    config.set(arg.substr(0, eq), arg.substr(eq + 1));
-  }
-  return config;
-}
-
 Nanos now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -173,7 +159,8 @@ std::string latency_json(const Histogram& get_h, const RunningStats& get_s,
 
 int main(int argc, char** argv) {
   try {
-    const Config config = parse_flags(argc, argv);
+    Config config;
+    config.parse_args(argc, argv);
 
     const std::string target = config.get_string("target", "127.0.0.1:7421");
     const auto colon = target.rfind(':');

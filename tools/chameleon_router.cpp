@@ -49,25 +49,12 @@ std::atomic<bool> g_stop{false};
 
 void on_signal(int) { g_stop.store(true, std::memory_order_release); }
 
-Config parse_flags(int argc, char** argv) {
-  Config config;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    while (arg.rfind("--", 0) == 0) arg = arg.substr(2);
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      throw std::runtime_error("expected key=value, got: " + arg);
-    }
-    config.set(arg.substr(0, eq), arg.substr(eq + 1));
-  }
-  return config;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    const Config config = parse_flags(argc, argv);
+    Config config;
+    config.parse_args(argc, argv);
 
     if (config.get_bool("metrics", true)) obs::set_enabled(true);
 

@@ -92,30 +92,20 @@ void load_config_file(Config& config, const std::string& path) {
   }
 }
 
-/// Strip leading dashes so --key=value and key=value both parse; pull
-/// config=FILE out first so command-line flags override the file.
+/// The config=FILE lines, if given, with the command-line flags over them.
+/// The config key itself is not kept, so it never reads as an ignored flag.
 Config parse_flags(int argc, char** argv) {
-  std::vector<std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    while (arg.rfind("--", 0) == 0) arg = arg.substr(2);
-    args.push_back(std::move(arg));
+  Config flags;
+  flags.parse_args(argc, argv);
+  Config config;
+  const auto& entries = flags.entries();
+  if (const auto file = entries.find("config"); file != entries.end()) {
+    load_config_file(config, file->second);
   }
-  Config file_config;
-  for (const auto& arg : args) {
-    if (arg.rfind("config=", 0) == 0) {
-      load_config_file(file_config, arg.substr(7));
-    }
+  for (const auto& [key, value] : entries) {
+    if (key != "config") config.set(key, value);
   }
-  for (const auto& arg : args) {
-    if (arg.rfind("config=", 0) == 0) continue;
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      throw std::runtime_error("expected key=value, got: " + arg);
-    }
-    file_config.set(arg.substr(0, eq), arg.substr(eq + 1));
-  }
-  return file_config;
+  return config;
 }
 
 }  // namespace
